@@ -1,12 +1,12 @@
-//! Criterion micro-benchmarks for the miners: closed vs FP-growth vs Eclat
-//! vs Apriori (the feature-generation ablation of DESIGN.md §6.4), and the
-//! min_sup sensitivity of closed mining.
+//! Criterion micro-benchmarks for the two miners: closed vs all-frequent
+//! (the feature-generation ablation of DESIGN.md §6.4), and the min_sup
+//! sensitivity of closed mining.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dfp_data::discretize::MdlDiscretizer;
 use dfp_data::synth::profile_by_name;
 use dfp_data::transactions::TransactionSet;
-use dfp_mining::{apriori, closed, eclat, fpgrowth, MineOptions};
+use dfp_mining::{closed, eclat, MineOptions};
 use std::hint::black_box;
 
 fn austral_ts() -> TransactionSet {
@@ -24,14 +24,8 @@ fn bench_miner_ablation(c: &mut Criterion) {
     group.bench_function("closed", |b| {
         b.iter(|| black_box(closed::mine_closed(&ts, min_sup, &opts).unwrap()))
     });
-    group.bench_function("fpgrowth", |b| {
-        b.iter(|| black_box(fpgrowth::mine(&ts, min_sup, &opts).unwrap()))
-    });
-    group.bench_function("eclat", |b| {
+    group.bench_function("all", |b| {
         b.iter(|| black_box(eclat::mine(&ts, min_sup, &opts).unwrap()))
-    });
-    group.bench_function("apriori", |b| {
-        b.iter(|| black_box(apriori::mine(&ts, min_sup, &opts).unwrap()))
     });
     group.finish();
 }

@@ -28,7 +28,7 @@ pub fn mine_for_figures(name: &str) -> (TransactionSet, Vec<MinedPattern>) {
     let (ts, _) = categorical.to_transactions();
     let cfg = MiningConfig {
         min_sup_rel: profile.default_min_sup,
-        miner: MinerKind::Eclat,
+        miner: MinerKind::All,
         options: MineOptions::default()
             .with_max_len(6)
             .with_max_patterns(2_000_000),

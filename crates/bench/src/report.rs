@@ -116,6 +116,50 @@ pub fn write_root_json(name: &str, value: &Json) -> std::io::Result<PathBuf> {
     Ok(path)
 }
 
+/// The fields a `BENCH_*.json` report opens with, so runs compare across
+/// files: bench name, host cores, ambient worker threads (`DFP_THREADS`),
+/// the git revision (`-dirty` when the tree had local changes) and whether
+/// `DFP_FAST=1` shrank the run.
+pub fn header(bench: &str) -> Vec<(String, Json)> {
+    let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let git_sha = std::process::Command::new("git")
+        .args(["describe", "--always", "--dirty", "--abbrev=12"])
+        .current_dir(workspace_root())
+        .output()
+        .ok()
+        .filter(|o| o.status.success())
+        .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
+        .unwrap_or_else(|| "unknown".into());
+    vec![
+        ("bench".into(), Json::Str(bench.into())),
+        ("host_cores".into(), Json::Int(host_cores as u64)),
+        (
+            "threads".into(),
+            Json::Int(dfp_par::worker_threads() as u64),
+        ),
+        ("git_sha".into(), Json::Str(git_sha)),
+        ("fast_mode".into(), Json::Bool(crate::fast_mode())),
+    ]
+}
+
+/// FNV-1a over a pattern stream (items + supports, in the given order).
+pub fn pattern_fingerprint(patterns: &[dfp_mining::RawPattern]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut mix = |x: u64| {
+        for b in x.to_le_bytes() {
+            h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+        }
+    };
+    for p in patterns {
+        mix(p.items.len() as u64);
+        for item in &p.items {
+            mix(u64::from(item.0));
+        }
+        mix(u64::from(p.support));
+    }
+    h
+}
+
 /// A simple text table with a header and string rows.
 pub struct Table {
     header: Vec<String>,

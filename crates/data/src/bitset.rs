@@ -30,12 +30,6 @@ impl std::fmt::Debug for Bitset {
     }
 }
 
-/// Words per cache tile of the batched one-vs-many scan
-/// ([`Bitset::batch_intersection_counts`]): 512 × 8 B = 4 KiB of the probe
-/// bitset stays resident in L1 while every mask's matching stripe streams
-/// past it.
-pub(crate) const TILE_WORDS: usize = 512;
-
 impl Bitset {
     /// Creates an empty bitset able to hold `len` bits, all clear.
     pub fn new(len: usize) -> Self {
@@ -254,34 +248,6 @@ impl Bitset {
             return 0.0;
         }
         inter as f64 / union as f64
-    }
-
-    /// `|self ∩ masks[j]|` for every mask in one cache-blocked sweep.
-    ///
-    /// The "one pattern tidset vs. all class masks" scan of measure
-    /// evaluation and class-support attachment. Instead of streaming the
-    /// whole probe bitset once per mask (reloading it from memory each
-    /// time), the probe is walked in [`TILE_WORDS`]-word tiles: each 4 KiB
-    /// tile is intersected against the matching stripe of *every* mask
-    /// while it is still L1-resident.
-    ///
-    /// # Panics
-    /// Panics if any mask length differs from `self.len()`.
-    pub fn batch_intersection_counts(&self, masks: &[Bitset]) -> Vec<usize> {
-        for m in masks {
-            self.check_same_len(m);
-        }
-        let mut counts = vec![0usize; masks.len()];
-        let mut start = 0usize;
-        while start < self.blocks.len() {
-            let end = (start + TILE_WORDS).min(self.blocks.len());
-            let tile = &self.blocks[start..end];
-            for (j, m) in masks.iter().enumerate() {
-                counts[j] += kernels::and_count(tile, &m.blocks[start..end]);
-            }
-            start = end;
-        }
-        counts
     }
 
     /// Iterates over the indices of set bits in ascending order.
@@ -628,19 +594,5 @@ mod tests {
             scalar::intersect_with_count(&mut c2, &b)
         );
         assert_eq!(c1, c2);
-    }
-
-    #[test]
-    fn batch_counts_match_pairwise() {
-        let n = 64 * TILE_WORDS + 777; // cross a tile boundary
-        let probe = Bitset::from_indices(n, (0..n).filter(|i| i % 11 == 0));
-        let masks: Vec<Bitset> = (2..6)
-            .map(|k| Bitset::from_indices(n, (0..n).filter(move |i| i % k == 0)))
-            .collect();
-        let batch = probe.batch_intersection_counts(&masks);
-        for (j, m) in masks.iter().enumerate() {
-            assert_eq!(batch[j], probe.intersection_count(m), "mask {j}");
-        }
-        assert!(Bitset::new(10).batch_intersection_counts(&[]).is_empty());
     }
 }

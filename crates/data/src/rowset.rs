@@ -861,31 +861,6 @@ impl RowSet {
         }
     }
 
-    /// `|self ∩ masks[j]|` for every mask. When everything is dense this is
-    /// the cache-blocked [`Bitset::batch_intersection_counts`] sweep; any
-    /// compressed operand falls back to per-pair counting (compressed
-    /// intersections only touch non-empty chunks, so they are already
-    /// bandwidth-proportional to the data that exists).
-    ///
-    /// # Panics
-    /// Panics if any mask length differs.
-    pub fn batch_intersection_counts(&self, masks: &[RowSet]) -> Vec<usize> {
-        if let RowSet::Dense(probe) = self {
-            if masks.iter().all(|m| matches!(m, RowSet::Dense(_))) {
-                let dense: Vec<&Bitset> = masks
-                    .iter()
-                    .map(|m| match m {
-                        RowSet::Dense(b) => b,
-                        RowSet::Compressed(_) => unreachable!(),
-                    })
-                    .collect();
-                // Mirror the Bitset tile sweep over borrowed masks.
-                return batch_dense(probe, &dense);
-            }
-        }
-        masks.iter().map(|m| self.intersection_count(m)).collect()
-    }
-
     /// Iterates over set row indices in ascending order.
     pub fn iter_ones(&self) -> RowSetOnes<'_> {
         match self {
@@ -898,30 +873,6 @@ impl RowSet {
     pub fn is_compressed(&self) -> bool {
         matches!(self, RowSet::Compressed(_))
     }
-}
-
-/// Cache-blocked one-vs-many sweep over borrowed dense masks (see
-/// [`Bitset::batch_intersection_counts`]).
-fn batch_dense(probe: &Bitset, masks: &[&Bitset]) -> Vec<usize> {
-    let pb = probe.blocks();
-    let mut counts = vec![0usize; masks.len()];
-    let mut start = 0usize;
-    while start < pb.len() {
-        let end = (start + crate::bitset::TILE_WORDS).min(pb.len());
-        let tile = &pb[start..end];
-        for (j, m) in masks.iter().enumerate() {
-            assert_eq!(
-                probe.len(),
-                m.len(),
-                "bitset length mismatch: {} vs {}",
-                probe.len(),
-                m.len()
-            );
-            counts[j] += kernels::and_count(tile, &m.blocks()[start..end]);
-        }
-        start = end;
-    }
-    counts
 }
 
 /// Ascending set-row iterator over either [`RowSet`] representation.
@@ -1050,10 +1001,6 @@ mod tests {
                 let mut out = RowSet::new_scratch(len);
                 assert_eq!(a.intersect_into(&b, &mut out), ei);
                 assert_eq!(out.count_ones(), ei);
-                assert_eq!(
-                    a.batch_intersection_counts(std::slice::from_ref(&b)),
-                    vec![ei]
-                );
             }
         }
     }

@@ -296,7 +296,7 @@ impl TransactionSet {
     }
 
     /// Per-class row masks as adaptive [`RowSet`]s, indexed by class id —
-    /// the "all class masks" side of the batched support scans.
+    /// the "all class masks" side of the per-class support counts.
     pub fn class_masks(&self) -> Vec<RowSet> {
         let n = self.len();
         self.class_partition_indices()

@@ -12,7 +12,7 @@
 //! From the environment, before the first site is evaluated:
 //!
 //! ```text
-//! DFP_FAILPOINTS='serve.worker=panic;model.save=trunc;mining.growth=sleep:50'
+//! DFP_FAILPOINTS='serve.worker=panic;model.save=trunc;mining.closed=sleep:50'
 //! ```
 //!
 //! Each clause is `site=action` where `action` is one of `err`, `panic`,
@@ -71,12 +71,7 @@ pub const REGISTRY: &[(&str, &str)] = &[
         "mining.count",
         "counting-only enumeration worker (dfp-mining)",
     ),
-    ("mining.growth", "FP-growth top-level task (dfp-mining)"),
-    ("mining.closed", "closed-set DFS branch task (dfp-mining)"),
-    (
-        "mining.nodeset",
-        "PPC-tree nodeset mining engine (dfp-nodeset)",
-    ),
+    ("mining.closed", "closed-set miner entry (dfp-mining)"),
     (
         "mining.per_class",
         "per-class partition mining (dfp-mining)",

@@ -15,12 +15,11 @@
 //! ## Determinism under a budget
 //!
 //! Budget-stopped anytime mining is **deterministic across thread counts**:
-//! parallel tasks emit their sequential-order output streams, the streams
-//! are concatenated in sequential task order, and the budget truncates that
-//! concatenation — so the surviving prefix is exactly what a sequential run
-//! would keep. Deadline stops are inherently timing-dependent; only the
-//! `complete`/`stopped_by` contract (not the exact pattern set) is
-//! guaranteed for them.
+//! each miner runs sequentially inside one partition (parallelism lives in
+//! the per-class fan-out of [`crate::per_class`]), so the budget truncates
+//! the same emission stream at any thread count. Deadline stops are
+//! inherently timing-dependent; only the `complete`/`stopped_by` contract
+//! (not the exact pattern set) is guaranteed for them.
 
 use crate::{MineOptions, MiningError, RawPattern};
 use std::time::Instant;
@@ -93,30 +92,6 @@ pub(crate) fn check_stop(n_emitted: usize, opts: &MineOptions) -> Result<(), Sto
     Ok(())
 }
 
-/// Merges parallel tasks' `(patterns, stop)` outputs in sequential task
-/// order, truncating at the cumulative budget, into one [`Mined`] — the
-/// shared tail of every parallel miner's anytime entry point.
-pub(crate) fn merge_task_outputs(
-    seeded: Vec<RawPattern>,
-    results: Vec<(Vec<RawPattern>, Option<StopReason>)>,
-    opts: &MineOptions,
-) -> Mined {
-    let mut out = seeded;
-    for (task_out, task_stop) in results {
-        out.extend(task_out);
-        if let Some(cap) = opts.max_patterns {
-            if out.len() as u64 > cap {
-                out.truncate(cap as usize);
-                return Mined::stopped(out, StopReason::PatternBudget);
-            }
-        }
-        if let Some(reason) = task_stop {
-            return Mined::stopped(out, reason);
-        }
-    }
-    Mined::complete(out)
-}
-
 /// Converts an anytime result into the strict API's outcome: incomplete
 /// results become the corresponding [`MiningError`] (`site` names the
 /// failpoint for injected faults).
@@ -153,50 +128,6 @@ pub(crate) fn stopped_sequential(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dfp_data::transactions::Item;
-
-    fn pat(id: u32) -> RawPattern {
-        RawPattern {
-            items: vec![Item(id)],
-            support: 1,
-        }
-    }
-
-    #[test]
-    fn merge_truncates_at_cumulative_budget() {
-        let opts = MineOptions::default().with_max_patterns(3);
-        let m = merge_task_outputs(
-            vec![pat(0)],
-            vec![(vec![pat(1), pat(2)], None), (vec![pat(3), pat(4)], None)],
-            &opts,
-        );
-        assert!(!m.complete);
-        assert_eq!(m.stopped_by, Some(StopReason::PatternBudget));
-        assert_eq!(m.patterns, vec![pat(0), pat(1), pat(2)]);
-    }
-
-    #[test]
-    fn merge_stops_at_first_task_stop() {
-        let opts = MineOptions::default();
-        let m = merge_task_outputs(
-            Vec::new(),
-            vec![
-                (vec![pat(1)], Some(StopReason::Deadline)),
-                (vec![pat(2)], None),
-            ],
-            &opts,
-        );
-        assert_eq!(m.stopped_by, Some(StopReason::Deadline));
-        assert_eq!(m.patterns, vec![pat(1)]);
-    }
-
-    #[test]
-    fn merge_complete_when_nothing_stops() {
-        let opts = MineOptions::default().with_max_patterns(10);
-        let m = merge_task_outputs(Vec::new(), vec![(vec![pat(1)], None)], &opts);
-        assert!(m.complete);
-        assert_eq!(m.stopped_by, None);
-    }
 
     #[test]
     fn check_stop_orders_budget_before_deadline() {

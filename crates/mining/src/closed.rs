@@ -1,32 +1,42 @@
-//! Closed frequent itemset mining (FPClose / CHARM style).
+//! Closed frequent itemset mining by prefix-preserving closure extension
+//! (LCM, Uno et al., FIMI'04).
 //!
 //! The paper mines **closed** patterns ("we use the closed frequent patterns
 //! as features instead of frequent ones […] since for a closed pattern α and
 //! its non-closed sub-pattern β, β is completely redundant w.r.t. α", §3.3).
 //!
-//! Strategy: a vertical DFS in which every extension item whose conditional
-//! tidset equals the prefix tidset is *merged into the prefix closure*
-//! (it occurs in every covering transaction, so no strictly-smaller pattern
-//! omitting it can be closed). Each DFS node emits one candidate — the
-//! merged prefix — and an exact subsumption **post-filter** removes the
-//! remaining non-closed candidates (a candidate is non-closed iff some other
-//! candidate is a strict superset with equal support; the closure of every
-//! frequent set is provably among the candidates, see the module tests which
-//! verify equality against a brute-force definition of closedness).
+//! Strategy: a vertical DFS over item [`RowSet`]s (dense or compressed per
+//! the active `DFP_BITSET` mode, as in [`crate::eclat`]). Every node is a
+//! closed set `P` with row set `T(P)` and a *core* item — the item whose
+//! addition generated it. `P` is extended only by items `e > core(P)`:
+//!
+//! 1. `T' = T(P) ∩ T(e)` is written into a per-depth scratch slot;
+//! 2. the closure of `P ∪ {e}` is `P` plus every item whose row set covers
+//!    `T'` (one cover comparison per item, `|T' ∩ T(i)| == |T'|`);
+//! 3. the **ppc test** drops the extension when an item `i < e` outside `P`
+//!    covers `T'`: that closure has a different prefix below `e` and is
+//!    reached from another branch instead.
+//!
+//! Every closed set is therefore emitted exactly once, and closed by
+//! construction — no post-filter. Only items frequent in the parent's
+//! conditional database are checked: an item covering less than `min_sup`
+//! rows of `T(P)` can cover no frequent `T' ⊆ T(P)`, and one known to
+//! cover fewer than `|T'|` rows of `T(P)` cannot cover `T'`. The same
+//! closedness rule is the cover-equality constraint of Maamar et al. ("A
+//! global constraint for closed itemset mining").
 
 use crate::anytime::{self, Mined, StopReason};
 use crate::{MineOptions, MiningError, RawPattern};
-use dfp_data::bitset::Bitset;
+use dfp_data::rowset::RowSet;
 use dfp_data::transactions::{Item, TransactionSet};
-use std::collections::HashMap;
 
 /// Mines all **closed** itemsets with absolute support `>= min_sup`.
 ///
-/// `opts.min_len` filters emitted patterns; `opts.max_len` bounds the DFS
-/// depth (note: closure merging can still produce patterns longer than
-/// `max_len`; with a cap, output closedness is relative to the explored
-/// universe). `opts.max_patterns` bounds the *candidate* count and aborts
-/// with [`MiningError::PatternLimitExceeded`].
+/// `opts.min_len` filters emission. `opts.max_len` emits only the closed
+/// sets of length `<= max_len` (a branch is pruned once its closure exceeds
+/// the cap, so the result is exactly the unbounded result filtered by
+/// length). `opts.max_patterns` counts emitted patterns and aborts with
+/// [`MiningError::PatternLimitExceeded`].
 pub fn mine_closed(
     ts: &TransactionSet,
     min_sup: usize,
@@ -40,10 +50,8 @@ pub fn mine_closed(
 }
 
 /// Anytime variant of [`mine_closed`]: the budget, the deadline, and an
-/// armed `mining.closed` failpoint stop the DFS and run the closedness
-/// post-filter on the candidates found so far. A truncated candidate stream
-/// still yields exact supports; closedness is then relative to the explored
-/// part of the search space.
+/// armed `mining.closed` failpoint stop the search and return the closed
+/// sets emitted so far — every one of them closed, with its exact support.
 pub fn mine_closed_anytime(
     ts: &TransactionSet,
     min_sup: usize,
@@ -56,321 +64,185 @@ pub fn mine_closed_anytime(
     if let Some(dfp_fault::Action::Err) = dfp_fault::evaluate("mining.closed") {
         return Ok(Mined::stopped(Vec::new(), StopReason::Fault));
     }
-    let vertical = ts.vertical();
-    let cands: Vec<(Item, Bitset)> = (0..ts.n_items())
-        .filter_map(|i| {
-            let tids = &vertical[i];
-            (tids.count_ones() >= min_sup).then(|| (Item(i as u32), tids.clone()))
+    // The root is the closure of the empty set: the items in every row
+    // (none when the database itself is infrequent). The other frequent
+    // items are its candidates, ranked by ascending support (ties by item):
+    // with the rare items first, an extension is rarely covered by a lower
+    // item, so few extensions fail the ppc test.
+    let mut root = Vec::new();
+    let mut frequent: Vec<(Item, RowSet, usize)> = Vec::new();
+    if ts.len() >= min_sup {
+        for (i, tids) in ts.vertical_rowsets().into_iter().enumerate() {
+            let support = tids.count_ones();
+            if support == ts.len() {
+                root.push(Item(i as u32));
+            } else if support >= min_sup {
+                frequent.push((Item(i as u32), tids, support));
+            }
+        }
+    }
+    frequent.sort_by_key(|&(item, _, support)| (support, item));
+    let cands: Vec<(u32, usize)> = frequent
+        .iter()
+        .enumerate()
+        .map(|(rank, &(_, _, support))| (rank as u32, support))
+        .collect();
+    let (items, tids): (Vec<Item>, Vec<RowSet>) =
+        frequent.into_iter().map(|(i, t, _)| (i, t)).unzip();
+    let mut search = Search {
+        items: &items,
+        tids: &tids,
+        min_sup,
+        opts,
+        out: Vec::new(),
+        nodes: 0,
+        closure_checks: 0,
+    };
+    // Each DFS level adds at least one item, so one slot per candidate plus
+    // the root's covers the deepest path.
+    let mut scratch: Vec<Slot> = (0..=cands.len())
+        .map(|_| Slot {
+            tids: RowSet::new_scratch(ts.len()),
+            cands: Vec::new(),
         })
         .collect();
-
-    // The root DFS node, expanded inline so each top-level branch becomes an
-    // independent worker task (candidate generation below any branch only
-    // touches that branch's tidsets, so branches share nothing mutable).
-    // Task outputs are concatenated in the sequential branch order, keeping
-    // the candidate stream — and therefore the result — bit-identical to a
-    // single-threaded run.
-    let prefix_support = ts.len();
-    // Stats stay plain u64s threaded through the recursion; they flush into
-    // the global counters with one atomic add each at the end of the call.
-    let mut stats = DfsStats::default();
-    let mut root_prefix: Vec<Item> = Vec::new();
-    let mut rest: Vec<(Item, Bitset, usize)> = Vec::with_capacity(cands.len());
-    for (item, t) in cands {
-        stats.closure_checks += 1;
-        let c = t.count_ones();
-        if c == prefix_support {
-            root_prefix.push(item);
-        } else {
-            rest.push((item, t, c));
-        }
-    }
-
-    let mut seeded: Vec<RawPattern> = Vec::new();
-    if !root_prefix.is_empty() {
-        let mut items = root_prefix.clone();
-        items.sort_unstable();
-        seeded.push(RawPattern {
-            items,
-            support: prefix_support as u32,
-        });
-        if let Err(reason) = anytime::check_stop(seeded.len(), opts) {
-            return Ok(finish(
-                ts,
-                min_sup,
-                anytime::stopped_sequential(seeded, reason, opts),
-                opts,
-            ));
-        }
-    }
-
-    let mined = if opts.may_extend(root_prefix.len()) {
-        // Ascending-support order maximises later merge opportunities (CHARM).
-        rest.sort_by_key(|&(item, _, c)| (c, item));
-        let branches: Vec<usize> = (0..rest.len()).collect();
-        // A stopped branch keeps its best-so-far candidates; the merge
-        // truncates the concatenated stream at the cumulative budget, so the
-        // surviving prefix is identical to a sequential run's.
-        let results: Vec<(Vec<RawPattern>, Option<StopReason>, DfsStats)> =
-            dfp_par::par_map(&branches, |&i| {
-                let (item, ref t, _) = rest[i];
-                let mut prefix = root_prefix.clone();
-                prefix.push(item);
-                let child_cands: Vec<(Item, Bitset)> = rest[i + 1..]
-                    .iter()
-                    .filter_map(|(j, tj, _)| {
-                        let mut inter = tj.clone();
-                        let n = inter.intersect_with_count(t);
-                        (n >= min_sup).then_some((*j, inter))
-                    })
-                    .collect();
-                let mut task_out = Vec::new();
-                let mut task_stats = DfsStats::default();
-                let stop = dfs(
-                    &mut prefix,
-                    t,
-                    child_cands,
-                    min_sup,
-                    opts,
-                    &mut task_out,
-                    &mut task_stats,
-                )
-                .err();
-                (task_out, stop, task_stats)
-            });
-        for (_, _, task_stats) in &results {
-            stats.nodes += task_stats.nodes;
-            stats.closure_checks += task_stats.closure_checks;
-        }
-        anytime::merge_task_outputs(
-            seeded,
-            results
-                .into_iter()
-                .map(|(out, stop, _)| (out, stop))
-                .collect(),
-            opts,
-        )
-    } else {
-        Mined::complete(seeded)
+    let outcome = search.visit(&mut root, None, ts.len(), None, &cands, &mut scratch);
+    let mined = match outcome {
+        Ok(()) => Mined::complete(search.out),
+        Err(reason) => anytime::stopped_sequential(search.out, reason, opts),
     };
-    let finished = finish(ts, min_sup, mined, opts);
-    dfp_obs::metrics::dfp::mine_nodes_explored().add(stats.nodes);
-    dfp_obs::metrics::dfp::mine_closure_checks().add(stats.closure_checks);
-    dfp_obs::metrics::dfp::mine_patterns_emitted().add(finished.patterns.len() as u64);
+    dfp_obs::metrics::dfp::mine_nodes_explored().add(search.nodes);
+    dfp_obs::metrics::dfp::mine_closure_checks().add(search.closure_checks);
+    dfp_obs::metrics::dfp::mine_patterns_emitted().add(mined.patterns.len() as u64);
     sp.attr("min_sup", min_sup);
-    sp.attr("nodes", stats.nodes);
-    sp.attr("closure_checks", stats.closure_checks);
-    sp.attr("patterns", finished.patterns.len());
-    Ok(finished)
+    sp.attr("nodes", search.nodes);
+    sp.attr("closure_checks", search.closure_checks);
+    sp.attr("patterns", mined.patterns.len());
+    Ok(mined)
 }
 
-/// Per-task search statistics, merged and flushed to the global counters
-/// once per mining call.
-#[derive(Debug, Default, Clone, Copy)]
-struct DfsStats {
-    /// DFS nodes entered (one per [`dfs`] invocation plus the root).
+/// State of one closed-mining run.
+struct Search<'a> {
+    /// The frequent items in ppc order; candidates are ranks into this.
+    items: &'a [Item],
+    /// Row set of each ranked item.
+    tids: &'a [RowSet],
+    min_sup: usize,
+    opts: &'a MineOptions,
+    out: Vec<RawPattern>,
+    /// Extensions whose row set was intersected.
     nodes: u64,
-    /// Closure-merge candidate comparisons (`tidset == prefix tidset`).
+    /// Cover comparisons (`|T' ∩ T(i)|` counts).
     closure_checks: u64,
 }
 
-/// Applies the closedness post-filter and the `min_len` cut to a (possibly
-/// truncated) candidate stream.
-///
-/// The filter of choice is the PPC-tree **cover filter** from
-/// `dfp-nodeset`: it canonicalises each candidate's tidset as fused
-/// transaction-id intervals, so subsumption checks collapse to hash-map
-/// grouping instead of the portable filter's per-support subset scans.
-/// Both filters implement the same semantics (drop a pattern iff a strict
-/// superset of equal support exists among the candidates); the portable
-/// [`closed_filter`] remains as the fallback for candidate streams that
-/// mention items outside the tree (possible only for hand-built streams,
-/// never for candidates mined from `ts` at `min_sup`).
-fn finish(ts: &TransactionSet, min_sup: usize, mined: Mined, opts: &MineOptions) -> Mined {
-    let cands: Vec<dfp_nodeset::Pattern> = mined
-        .patterns
-        .into_iter()
-        .map(|p| dfp_nodeset::Pattern {
-            items: p.items,
-            support: p.support,
-        })
-        .collect();
-    let mut closed: Vec<RawPattern> =
-        match dfp_nodeset::cover::closed_cover_filter(ts, min_sup, cands) {
-            Ok(filtered) => filtered
-                .into_iter()
-                .map(|p| RawPattern {
-                    items: p.items,
-                    support: p.support,
-                })
-                .collect(),
-            Err(unfiltered) => closed_filter(
-                unfiltered
-                    .into_iter()
-                    .map(|p| RawPattern {
-                        items: p.items,
-                        support: p.support,
-                    })
-                    .collect(),
-            ),
-        };
-    closed.retain(|p| p.len() >= opts.min_len);
-    Mined {
-        patterns: closed,
-        complete: mined.complete,
-        stopped_by: mined.stopped_by,
-    }
+/// Storage one DFS level reuses across its extensions: the extension's row
+/// set `T'` and the child's candidate list.
+struct Slot {
+    tids: RowSet,
+    cands: Vec<(u32, usize)>,
 }
 
-/// DFS node. `cands` tidsets are already intersected with `tids` (the prefix
-/// tidset) and meet `min_sup`.
-fn dfs(
-    prefix: &mut Vec<Item>,
-    tids: &Bitset,
-    mut cands: Vec<(Item, Bitset)>,
-    min_sup: usize,
-    opts: &MineOptions,
-    out: &mut Vec<RawPattern>,
-    stats: &mut DfsStats,
-) -> Result<(), StopReason> {
-    stats.nodes += 1;
-    let prefix_support = tids.count_ones();
-
-    // Closure merge: items present in every covering transaction.
-    let mut rest: Vec<(Item, Bitset, usize)> = Vec::with_capacity(cands.len());
-    let base_len = prefix.len();
-    for (item, t) in cands.drain(..) {
-        stats.closure_checks += 1;
-        let c = t.count_ones();
-        if c == prefix_support {
-            prefix.push(item);
-        } else {
-            rest.push((item, t, c));
+impl Search<'_> {
+    /// Emits the closed set `closed` (row set `tids`, `None` = every row,
+    /// of size `support`) and expands it by every candidate ranked above
+    /// `core`.
+    ///
+    /// `cands` lists, ascending, the ranks of the items outside `closed`
+    /// that are frequent in its conditional database, each with that
+    /// conditional support — except that those ranked below `core`, which
+    /// only take part in the ppc test, may carry an upper bound instead (and
+    /// so be infrequent after all).
+    /// `scratch[0]` holds this level's extensions; deeper levels use
+    /// `scratch[1..]`.
+    fn visit(
+        &mut self,
+        closed: &mut Vec<Item>,
+        tids: Option<&RowSet>,
+        support: usize,
+        core: Option<u32>,
+        cands: &[(u32, usize)],
+        scratch: &mut [Slot],
+    ) -> Result<(), StopReason> {
+        if self.opts.max_len.is_some_and(|m| closed.len() > m) {
+            return Ok(());
         }
-    }
-
-    // Emit the merged prefix as a closed-set candidate.
-    if !prefix.is_empty() {
-        let mut items = prefix.clone();
-        items.sort_unstable();
-        out.push(RawPattern {
-            items,
-            support: prefix_support as u32,
-        });
-        anytime::check_stop(out.len(), opts)?;
-    }
-
-    if opts.may_extend(prefix.len()) {
-        // Ascending-support order maximises later merge opportunities (CHARM).
-        rest.sort_by_key(|&(item, _, c)| (c, item));
-        for i in 0..rest.len() {
-            let (item, ref t, _) = rest[i];
-            prefix.push(item);
-            let child_cands: Vec<(Item, Bitset)> = rest[i + 1..]
-                .iter()
-                .filter_map(|(j, tj, _)| {
-                    let mut inter = tj.clone();
-                    let n = inter.intersect_with_count(t);
-                    (n >= min_sup).then_some((*j, inter))
-                })
-                .collect();
-            dfs(prefix, t, child_cands, min_sup, opts, out, stats)?;
-            prefix.pop();
+        if !closed.is_empty() && self.opts.len_ok(closed.len()) {
+            let mut items = closed.clone();
+            items.sort_unstable();
+            self.out.push(RawPattern {
+                items,
+                support: support as u32,
+            });
+            anytime::check_stop(self.out.len(), self.opts)?;
         }
-    }
-
-    prefix.truncate(base_len);
-    Ok(())
-}
-
-/// Removes duplicates and non-closed candidates: keeps exactly the patterns
-/// with no strict superset of equal support among the input.
-///
-/// Implementation: group by support; inside a group, patterns are checked
-/// longest-first against an inverted item → pattern-id index, so each check
-/// costs `O(|pattern| · avg-postings)` rather than a full group scan.
-pub fn closed_filter(patterns: Vec<RawPattern>) -> Vec<RawPattern> {
-    // Dedup identical itemsets.
-    let mut uniq: HashMap<Vec<Item>, u32> = HashMap::with_capacity(patterns.len());
-    for p in patterns {
-        uniq.entry(p.items).or_insert(p.support);
-    }
-
-    // Group by support.
-    let mut by_support: HashMap<u32, Vec<Vec<Item>>> = HashMap::new();
-    for (items, support) in uniq {
-        by_support.entry(support).or_default().push(items);
-    }
-
-    let mut out = Vec::new();
-    for (support, mut group) in by_support {
-        group.sort_by(|a, b| b.len().cmp(&a.len()).then_with(|| a.cmp(b)));
-        // kept patterns indexed by item
-        let mut kept: Vec<Vec<Item>> = Vec::new();
-        let mut postings: HashMap<Item, Vec<usize>> = HashMap::new();
-        'next: for items in group {
-            // subsumed iff some kept (strictly longer) pattern contains all items
-            let mut hits: HashMap<usize, usize> = HashMap::new();
-            for it in &items {
-                if let Some(list) = postings.get(it) {
-                    for &k in list {
-                        if kept[k].len() > items.len() {
-                            let h = hits.entry(k).or_insert(0);
-                            *h += 1;
-                            if *h == items.len() {
-                                continue 'next; // subsumed
-                            }
-                        }
-                    }
+        let first = cands.partition_point(|&(r, _)| core.is_some_and(|c| r <= c));
+        if first == cands.len() || !self.opts.may_extend(closed.len()) {
+            return Ok(());
+        }
+        let all_tids = self.tids;
+        let (slot, deeper) = scratch.split_first_mut().expect("scratch covers DFS depth");
+        for (k, &(e, ext_support)) in cands.iter().enumerate().skip(first) {
+            self.nodes += 1;
+            let ext: &RowSet = match tids {
+                // Top level: the candidate's own row set is the extension's.
+                None => &all_tids[e as usize],
+                Some(t) => {
+                    t.intersect_into(&all_tids[e as usize], &mut slot.tids);
+                    &slot.tids
+                }
+            };
+            // The ppc test: a candidate below `e` covering `T'` means the
+            // closure is reached from another branch. The others that stay
+            // frequent in `T'` are kept for the child's own ppc tests.
+            slot.cands.clear();
+            let mut prefix_preserved = true;
+            for &(i, cond) in &cands[..k] {
+                // `cond >= |T' ∩ T(i)|`, so below `|T'|` the item cannot
+                // cover `T'`. While it is also expected to stay frequent in
+                // `T'` (`cond · |T'| / |T(P)| >= min_sup`), it passes down
+                // uncounted with `cond` as its bound: a deeper level counts
+                // it only when the bound no longer rules it out.
+                if cond < ext_support
+                    && cond as u64 * ext_support as u64 >= self.min_sup as u64 * support as u64
+                {
+                    slot.cands.push((i, cond));
+                    continue;
+                }
+                let n = self.cover_count(ext, i);
+                if n == ext_support {
+                    prefix_preserved = false;
+                    break;
+                }
+                if n >= self.min_sup {
+                    slot.cands.push((i, n));
                 }
             }
-            let id = kept.len();
-            for it in &items {
-                postings.entry(*it).or_default().push(id);
+            if !prefix_preserved {
+                continue;
             }
-            kept.push(items);
+            // Candidates above `e` covering `T'` join the closure; the other
+            // frequent ones become the child's extension candidates.
+            let base = closed.len();
+            closed.push(self.items[e as usize]);
+            for &(i, _) in &cands[k + 1..] {
+                let n = self.cover_count(ext, i);
+                if n == ext_support {
+                    closed.push(self.items[i as usize]);
+                } else if n >= self.min_sup {
+                    slot.cands.push((i, n));
+                }
+            }
+            self.visit(closed, Some(ext), ext_support, Some(e), &slot.cands, deeper)?;
+            closed.truncate(base);
         }
-        out.extend(kept.into_iter().map(|items| RawPattern { items, support }));
+        Ok(())
     }
-    out
-}
 
-/// Expands a closed-set listing back into the **full** frequent collection:
-/// every non-empty subset of every closed set, with each subset's support
-/// equal to the *maximum* support among the closed sets containing it (the
-/// defining property of the closed representation).
-///
-/// Exponential in the longest closed set — this is the differential-oracle
-/// counterpart of [`closed_filter`], meant for test-scale databases, not
-/// production feature generation. Returns canonical order (length, then
-/// lexicographic).
-pub fn expand_frequent(closed: &[RawPattern]) -> Vec<RawPattern> {
-    let mut best: HashMap<Vec<Item>, u32> = HashMap::new();
-    let mut subset = Vec::new();
-    for p in closed {
-        expand_subsets(&p.items, p.support, 0, &mut subset, &mut best);
-    }
-    let mut out: Vec<RawPattern> = best
-        .into_iter()
-        .map(|(items, support)| RawPattern { items, support })
-        .collect();
-    crate::pattern::sort_canonical(&mut out);
-    out
-}
-
-fn expand_subsets(
-    items: &[Item],
-    support: u32,
-    start: usize,
-    subset: &mut Vec<Item>,
-    best: &mut HashMap<Vec<Item>, u32>,
-) {
-    for i in start..items.len() {
-        subset.push(items[i]);
-        let entry = best.entry(subset.clone()).or_insert(0);
-        *entry = (*entry).max(support);
-        expand_subsets(items, support, i + 1, subset, best);
-        subset.pop();
+    /// `|ext ∩ T(item)|` for a ranked item, counted as one closure check.
+    fn cover_count(&mut self, ext: &RowSet, rank: u32) -> usize {
+        self.closure_checks += 1;
+        ext.intersection_count(&self.tids[rank as usize])
     }
 }
 
@@ -405,8 +277,11 @@ mod tests {
     fn assert_matches_brute(ts: &TransactionSet, min_sup: usize) {
         let mut got = mine_closed(ts, min_sup, &MineOptions::default()).unwrap();
         sort_canonical(&mut got);
-        let want = mine_closed_brute_force(ts, min_sup, None);
-        assert_eq!(got, want, "min_sup={min_sup}");
+        assert_eq!(
+            got,
+            mine_closed_brute_force(ts, min_sup),
+            "min_sup={min_sup}"
+        );
     }
 
     #[test]
@@ -428,7 +303,7 @@ mod tests {
 
     #[test]
     fn nested_supports() {
-        // {0} ⊃-support chain: {0} sup 4, {0,1} sup 3, {0,1,2} sup 2 — all closed.
+        // {0} sup 4, {0,1} sup 3, {0,1,2} sup 2 — all closed.
         let ts = db(&[&[0], &[0, 1], &[0, 1, 2], &[0, 1, 2]]);
         assert_matches_brute(&ts, 1);
         let got = mine_closed(&ts, 1, &MineOptions::default()).unwrap();
@@ -451,29 +326,26 @@ mod tests {
     }
 
     #[test]
-    fn closed_is_subset_of_frequent_with_matching_supports() {
-        let ts = db(&[
-            &[0, 1, 4],
-            &[1, 3],
-            &[1, 2],
-            &[0, 1, 3],
-            &[0, 2],
-            &[0, 3, 4],
-        ]);
-        let closed = mine_closed(&ts, 2, &MineOptions::default()).unwrap();
-        for p in &closed {
-            assert_eq!(p.support as usize, ts.support(&p.items));
-        }
-        // every frequent set must have a closed superset with equal support
-        let all = crate::eclat::mine(&ts, 2, &MineOptions::default()).unwrap();
-        for f in &all {
-            assert!(
-                closed.iter().any(|c| c.support == f.support
-                    && dfp_data::transactions::contains_sorted(&c.items, &f.items)),
-                "no closed superset for {:?}",
-                f.items
-            );
-        }
+    fn each_closed_set_is_emitted_once() {
+        let ts = db(&[&[0, 1, 2, 3], &[0, 1, 3], &[1, 2, 3], &[0, 2], &[1, 3]]);
+        let got = mine_closed(&ts, 1, &MineOptions::default()).unwrap();
+        let mut sets: Vec<&Vec<Item>> = got.iter().map(|p| &p.items).collect();
+        sets.sort();
+        sets.dedup();
+        assert_eq!(sets.len(), got.len());
+    }
+
+    #[test]
+    fn max_len_keeps_the_short_closed_sets() {
+        // Closed: {0} 4, {0,1} 3, {0,1,2} 2.
+        let ts = db(&[&[0], &[0, 1], &[0, 1, 2], &[0, 1, 2]]);
+        let got = mine_closed(&ts, 1, &MineOptions::default().with_max_len(2)).unwrap();
+        let lens: Vec<usize> = got.iter().map(|p| p.len()).collect();
+        assert_eq!(lens, vec![1, 2]);
+        // A root closure longer than the cap emits nothing.
+        let ts = db(&[&[0, 1, 2], &[0, 1, 2]]);
+        let got = mine_closed(&ts, 1, &MineOptions::default().with_max_len(2)).unwrap();
+        assert!(got.is_empty());
     }
 
     #[test]
@@ -484,36 +356,25 @@ mod tests {
     }
 
     #[test]
-    fn min_len_filter_applies_after_closure() {
+    fn min_len_filters_emission() {
         let ts = db(&[&[0, 1, 4], &[1, 3], &[1, 2], &[0, 1, 3], &[0, 2]]);
         let got = mine_closed(&ts, 1, &MineOptions::default().with_min_len(2)).unwrap();
-        assert!(got.iter().all(|p| p.len() >= 2));
+        let mut want = mine_closed_brute_force(&ts, 1);
+        want.retain(|p| p.len() >= 2);
+        let mut got = got;
+        sort_canonical(&mut got);
+        assert_eq!(got, want);
     }
 
     #[test]
-    fn closed_filter_alone() {
-        let pats = vec![
-            RawPattern {
-                items: vec![Item(0)],
-                support: 2,
-            },
-            RawPattern {
-                items: vec![Item(0), Item(1)],
-                support: 2,
-            },
-            RawPattern {
-                items: vec![Item(1)],
-                support: 3,
-            },
-            RawPattern {
-                items: vec![Item(0), Item(1)],
-                support: 2,
-            }, // dup
-        ];
-        let mut got = closed_filter(pats);
-        sort_canonical(&mut got);
-        assert_eq!(got.len(), 2);
-        assert_eq!(got[0].items, vec![Item(1)]);
-        assert_eq!(got[1].items, vec![Item(0), Item(1)]);
+    fn zero_min_sup_rejected_and_empty_database() {
+        let ts = db(&[]);
+        assert_eq!(
+            mine_closed(&ts, 0, &MineOptions::default()).unwrap_err(),
+            MiningError::ZeroMinSup
+        );
+        assert!(mine_closed(&ts, 1, &MineOptions::default())
+            .unwrap()
+            .is_empty());
     }
 }

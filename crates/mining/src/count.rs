@@ -169,9 +169,9 @@ fn count_dfs(
 /// Attaches per-class supports to raw patterns by recounting on the full
 /// database (vertical row-set intersections).
 ///
-/// The per-class counts come from one batched "pattern tidset vs. all class
-/// masks" scan; because the classes partition the rows, the total support is
-/// their sum — no separate counting pass.
+/// The per-class counts intersect the pattern's row set with each class
+/// mask; because the classes partition the rows, the total support is their
+/// sum — no separate counting pass.
 pub fn attach_class_supports(
     ts: &TransactionSet,
     patterns: &[RawPattern],
@@ -182,12 +182,14 @@ pub fn attach_class_supports(
         .iter()
         .map(|p| {
             let tids = pattern_rowset(&vertical, ts.len(), &p.items);
-            let counts = tids.batch_intersection_counts(&class_masks);
-            let support: usize = counts.iter().sum();
+            let counts: Vec<u32> = class_masks
+                .iter()
+                .map(|m| tids.intersection_count(m) as u32)
+                .collect();
             crate::MinedPattern {
                 items: p.items.clone(),
-                support: support as u32,
-                class_supports: counts.into_iter().map(|c| c as u32).collect(),
+                support: counts.iter().sum(),
+                class_supports: counts,
             }
         })
         .collect()

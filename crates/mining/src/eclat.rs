@@ -4,8 +4,8 @@
 //! or roaring-compressed per the active `DFP_BITSET` mode — and a DFS
 //! extends the current prefix with items of higher id, intersecting tidsets.
 //! Simple, exact, and fast at the dataset sizes of the paper's evaluation.
-//! Serves as an independently-implemented cross-check for the FP-growth
-//! miner (property tests assert equality of outputs).
+//! This is [`crate::MinerKind::All`]; property tests check it against the
+//! brute-force references.
 //!
 //! The candidate-extension loop writes each `prefix ∩ candidate` into a
 //! per-depth scratch slot instead of cloning the prefix tidset per

@@ -1,25 +1,23 @@
 //! # dfp-mining — frequent and closed itemset mining
 //!
 //! The feature-generation substrate of the framework (paper §3, step 1).
-//! The paper uses **FPClose** to generate *closed* frequent itemsets; this
-//! crate provides:
+//! The paper uses **FPClose** to generate *closed* frequent itemsets. Both
+//! miners here run the same vertical DFS over per-item row sets
+//! ([`dfp_data::rowset::RowSet`], dense or compressed per `DFP_BITSET`):
 //!
-//! * [`fptree`] / [`fpgrowth`] — an FP-tree and the FP-growth algorithm,
-//!   the paper-faithful pattern-growth miner;
-//! * [`eclat`] — a vertical (tidset-bitset) DFS miner used as the workhorse
-//!   and as an independent implementation for cross-checking;
-//! * [`closed`] — FPClose/CHARM-style **closed** itemset mining: DFS with
-//!   full-support closure merging plus an exact subsumption post-filter;
-//! * [`apriori`] — the classic level-wise baseline (ablation + testing);
-//! * [`nodeset`] — PPC-tree (Diff)Nodeset mining (the `dfp-nodeset`
-//!   engine behind a uniform adapter): the fastest backend on dense data;
+//! * [`closed`] — **closed** itemset mining by LCM prefix-preserving
+//!   closure extension: every emitted set is closed by construction
+//!   ([`MinerKind::Closed`], the default);
+//! * [`eclat`] — all frequent itemsets ([`MinerKind::All`]), used by the
+//!   figure ablations and as the closed miner's cross-check;
 //! * [`count`] — counting-only enumeration with an abort cap, used by the
 //!   scalability tables to reproduce the paper's "min_sup = 1 cannot
 //!   complete" rows;
 //! * [`per_class`] — the paper's feature-generation step: partition the
 //!   database by class, mine each partition with `min_sup`, merge, and
 //!   recount global/per-class supports;
-//! * [`mod@reference`] — a brute-force miner used as ground truth in tests;
+//! * [`mod@reference`] — a brute-force miner used as ground truth in tests,
+//!   plus the closed → frequent expansion the oracle tests check against;
 //! * [`sequence`] — PrefixSpan sequential-pattern mining, the paper's §6
 //!   extension direction, with a transform into the framework's feature
 //!   matrices;
@@ -30,14 +28,10 @@
 #![warn(missing_docs)]
 
 pub mod anytime;
-pub mod apriori;
 pub mod closed;
 pub mod count;
 pub mod eclat;
-pub mod fpgrowth;
-pub mod fptree;
 pub mod memo;
-pub mod nodeset;
 pub mod pattern;
 pub mod per_class;
 pub mod reference;
@@ -91,7 +85,9 @@ impl std::error::Error for MiningError {}
 pub struct MineOptions {
     /// Minimum pattern length to *emit* (shorter prefixes are still explored).
     pub min_len: usize,
-    /// Maximum pattern length to explore; `None` = unbounded.
+    /// Maximum pattern length to emit; `None` = unbounded. Eclat stops
+    /// extending at this length; the closed miner prunes a branch once its
+    /// closure is longer.
     pub max_len: Option<usize>,
     /// Abort once this many patterns have been emitted; `None` = unbounded.
     pub max_patterns: Option<u64>,

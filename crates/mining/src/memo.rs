@@ -101,10 +101,7 @@ struct Key {
 fn miner_tag(kind: MinerKind) -> u8 {
     match kind {
         MinerKind::Closed => 0,
-        MinerKind::FpGrowth => 1,
-        MinerKind::Eclat => 2,
-        MinerKind::Apriori => 3,
-        MinerKind::Nodeset => 4,
+        MinerKind::All => 1,
     }
 }
 
@@ -327,10 +324,10 @@ mod tests {
             calls.set(calls.get() + 1);
             crate::eclat::mine_anytime(&ts, 1, &opts)
         };
-        let first = mine_cached(MinerKind::Eclat, &ts, 1, &opts, run).unwrap();
+        let first = mine_cached(MinerKind::All, &ts, 1, &opts, run).unwrap();
         assert!(!first.complete);
         // A second call must run the miner again, not replay a truncation.
-        let _ = mine_cached(MinerKind::Eclat, &ts, 1, &opts, run).unwrap();
+        let _ = mine_cached(MinerKind::All, &ts, 1, &opts, run).unwrap();
         assert_eq!(calls.get(), 2, "incomplete result must not be replayed");
         set_enabled(None);
     }
@@ -356,7 +353,7 @@ mod tests {
             .with_deadline(std::time::Instant::now() + std::time::Duration::from_secs(60));
         let calls = std::cell::Cell::new(0u32);
         for _ in 0..2 {
-            let _ = mine_cached(MinerKind::Eclat, &ts, 1, &opts, || {
+            let _ = mine_cached(MinerKind::All, &ts, 1, &opts, || {
                 calls.set(calls.get() + 1);
                 crate::eclat::mine_anytime(&ts, 1, &opts)
             })
@@ -374,7 +371,7 @@ mod tests {
         let ts = db(&[(&[0, 1], 0)]);
         let opts = MineOptions::default();
         for sup in 1..=(CACHE_CAP + 8) {
-            let _ = mine_cached(MinerKind::Eclat, &ts, sup, &opts, || {
+            let _ = mine_cached(MinerKind::All, &ts, sup, &opts, || {
                 crate::eclat::mine_anytime(&ts, 1, &opts)
             });
         }

@@ -11,41 +11,47 @@
 
 use crate::anytime::{Mined, StopReason};
 use crate::count::attach_class_supports;
-use crate::{
-    apriori, closed, eclat, fpgrowth, nodeset, MineOptions, MinedPattern, MiningError, RawPattern,
-};
+use crate::{closed, eclat, MineOptions, MinedPattern, MiningError, RawPattern};
 use dfp_data::transactions::{Item, TransactionSet};
 use std::collections::HashSet;
 
 /// Which mining algorithm feature generation runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum MinerKind {
-    /// Closed-set miner (the paper's choice — FPClose-style).
+    /// Closed sets (the paper's choice), by LCM closure extension.
     #[default]
     Closed,
-    /// All frequent sets via FP-growth.
-    FpGrowth,
-    /// All frequent sets via vertical DFS (Eclat).
-    Eclat,
-    /// All frequent sets via level-wise Apriori (ablation baseline).
-    Apriori,
-    /// All frequent sets via PPC-tree (Diff)Nodeset intersection — the
-    /// fastest backend on dense data (`dfp-nodeset`).
-    Nodeset,
+    /// All frequent sets, by vertical DFS (Eclat).
+    All,
 }
 
 impl MinerKind {
-    /// The accepted spellings, in `--miner` / `DFP_MINER` order.
-    pub const NAMES: [&'static str; 5] = ["closed", "fpgrowth", "eclat", "apriori", "nodeset"];
+    /// The canonical spellings, in `--miner` / `DFP_MINER` order.
+    pub const NAMES: [&'static str; 2] = ["closed", "all"];
+
+    /// Names of retired all-frequent miners, still accepted as spellings
+    /// of [`MinerKind::All`]: each produced exactly the all-frequent set,
+    /// so an environment naming one keeps its output.
+    pub const ALL_ALIASES: [&'static str; 4] = ["eclat", "fpgrowth", "apriori", "nodeset"];
+
+    /// Runs this miner on `ts` directly, bypassing the memoization cache.
+    pub fn mine_anytime(
+        self,
+        ts: &TransactionSet,
+        min_sup: usize,
+        opts: &MineOptions,
+    ) -> Result<Mined, MiningError> {
+        match self {
+            MinerKind::Closed => closed::mine_closed_anytime(ts, min_sup, opts),
+            MinerKind::All => eclat::mine_anytime(ts, min_sup, opts),
+        }
+    }
 
     /// The canonical lowercase spelling.
     pub fn name(self) -> &'static str {
         match self {
             MinerKind::Closed => "closed",
-            MinerKind::FpGrowth => "fpgrowth",
-            MinerKind::Eclat => "eclat",
-            MinerKind::Apriori => "apriori",
-            MinerKind::Nodeset => "nodeset",
+            MinerKind::All => "all",
         }
     }
 
@@ -85,13 +91,13 @@ impl std::str::FromStr for MinerKind {
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         match s.trim().to_ascii_lowercase().as_str() {
             "closed" => Ok(MinerKind::Closed),
-            "fpgrowth" | "fp-growth" | "growth" => Ok(MinerKind::FpGrowth),
-            "eclat" => Ok(MinerKind::Eclat),
-            "apriori" => Ok(MinerKind::Apriori),
-            "nodeset" | "diffnodeset" | "dfin" => Ok(MinerKind::Nodeset),
+            // The retired miners' names, with their old alternate spellings.
+            "all" | "eclat" | "fpgrowth" | "fp-growth" | "growth" | "apriori" | "nodeset"
+            | "diffnodeset" | "dfin" => Ok(MinerKind::All),
             other => Err(format!(
-                "unknown miner '{other}' (valid miners: {})",
-                MinerKind::NAMES.join(", ")
+                "unknown miner '{other}' (valid miners: {}; {} are aliases of all)",
+                MinerKind::NAMES.join(", "),
+                MinerKind::ALL_ALIASES.join(", ")
             )),
         }
     }
@@ -151,12 +157,8 @@ fn run_miner_anytime(
     min_sup: usize,
     opts: &MineOptions,
 ) -> Result<Mined, MiningError> {
-    crate::memo::mine_cached(kind, ts, min_sup, opts, || match kind {
-        MinerKind::Closed => closed::mine_closed_anytime(ts, min_sup, opts),
-        MinerKind::FpGrowth => fpgrowth::mine_anytime(ts, min_sup, opts),
-        MinerKind::Eclat => eclat::mine_anytime(ts, min_sup, opts),
-        MinerKind::Apriori => apriori::mine_anytime(ts, min_sup, opts),
-        MinerKind::Nodeset => nodeset::mine_anytime(ts, min_sup, opts),
+    crate::memo::mine_cached(kind, ts, min_sup, opts, || {
+        kind.mine_anytime(ts, min_sup, opts)
     })
 }
 
@@ -344,31 +346,12 @@ mod tests {
     }
 
     #[test]
-    fn all_miners_agree_on_feature_sets() {
-        let base = MiningConfig {
-            min_sup_rel: 0.5,
-            miner: MinerKind::FpGrowth,
-            options: MineOptions::default(),
-            per_class: true,
-        };
-        let fp = mine_features(&sample(), &base).unwrap();
-        for kind in [MinerKind::Eclat, MinerKind::Apriori] {
-            let cfg = MiningConfig {
-                miner: kind,
-                ..base.clone()
-            };
-            let other = mine_features(&sample(), &cfg).unwrap();
-            assert_eq!(fp, other, "{kind:?}");
-        }
-    }
-
-    #[test]
     fn closed_features_are_subset_of_frequent_features() {
         let all = mine_features(
             &sample(),
             &MiningConfig {
                 min_sup_rel: 0.4,
-                miner: MinerKind::Eclat,
+                miner: MinerKind::All,
                 ..MiningConfig::default()
             },
         )
@@ -395,15 +378,19 @@ mod tests {
             let kind: MinerKind = name.parse().unwrap();
             assert_eq!(kind.name(), name);
         }
-        assert_eq!("FP-Growth".parse::<MinerKind>(), Ok(MinerKind::FpGrowth));
-        assert_eq!(" dfin ".parse::<MinerKind>(), Ok(MinerKind::Nodeset));
+        for alias in MinerKind::ALL_ALIASES {
+            assert_eq!(alias.parse::<MinerKind>(), Ok(MinerKind::All), "{alias}");
+        }
+        assert_eq!(" Eclat ".parse::<MinerKind>(), Ok(MinerKind::All));
+        assert_eq!("FP-Growth".parse::<MinerKind>(), Ok(MinerKind::All));
+        assert_eq!(" dfin ".parse::<MinerKind>(), Ok(MinerKind::All));
     }
 
     #[test]
     fn miner_kind_parse_error_names_the_valid_values() {
         let err = "fpclose".parse::<MinerKind>().unwrap_err();
         assert!(err.contains("unknown miner 'fpclose'"), "{err}");
-        for name in MinerKind::NAMES {
+        for name in MinerKind::NAMES.iter().chain(&MinerKind::ALL_ALIASES) {
             assert!(err.contains(name), "{err} missing {name}");
         }
     }
@@ -414,10 +401,10 @@ mod tests {
         static ENV_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
         let _g = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let saved = std::env::var("DFP_MINER").ok();
-        std::env::set_var("DFP_MINER", "eclat");
-        assert_eq!(MinerKind::from_env(), Ok(Some(MinerKind::Eclat)));
-        assert_eq!(MinerKind::env_default(), MinerKind::Eclat);
-        assert_eq!(MiningConfig::default().miner, MinerKind::Eclat);
+        std::env::set_var("DFP_MINER", "nodeset");
+        assert_eq!(MinerKind::from_env(), Ok(Some(MinerKind::All)));
+        assert_eq!(MinerKind::env_default(), MinerKind::All);
+        assert_eq!(MiningConfig::default().miner, MinerKind::All);
         std::env::set_var("DFP_MINER", "not-a-miner");
         assert!(MinerKind::from_env().is_err());
         assert_eq!(MinerKind::env_default(), MinerKind::Closed);
@@ -427,26 +414,6 @@ mod tests {
             Some(v) => std::env::set_var("DFP_MINER", v),
             None => std::env::remove_var("DFP_MINER"),
         }
-    }
-
-    #[test]
-    fn nodeset_agrees_with_the_other_miners_on_features() {
-        let base = MiningConfig {
-            min_sup_rel: 0.5,
-            miner: MinerKind::FpGrowth,
-            options: MineOptions::default(),
-            per_class: true,
-        };
-        let fp = mine_features(&sample(), &base).unwrap();
-        let nd = mine_features(
-            &sample(),
-            &MiningConfig {
-                miner: MinerKind::Nodeset,
-                ..base
-            },
-        )
-        .unwrap();
-        assert_eq!(fp, nd);
     }
 
     #[test]

@@ -1,9 +1,12 @@
-//! Brute-force reference miners — ground truth for unit and property tests.
+//! Brute-force reference miners — ground truth for unit and property tests —
+//! and the closed → frequent expansion the oracle tests check the closed
+//! miner with.
 //!
 //! Exponential in the number of items; only use on small inputs.
 
 use crate::{pattern::sort_canonical, RawPattern};
 use dfp_data::transactions::{Item, TransactionSet};
+use std::collections::HashMap;
 
 /// Enumerates **all** frequent itemsets by DFS over the item universe,
 /// counting each candidate's support with a linear scan. Returns patterns in
@@ -66,14 +69,46 @@ pub fn closed_filter_brute_force(mut patterns: Vec<RawPattern>) -> Vec<RawPatter
 }
 
 /// All closed frequent itemsets by brute force.
-pub fn mine_closed_brute_force(
-    ts: &TransactionSet,
-    min_sup: usize,
-    max_len: Option<usize>,
-) -> Vec<RawPattern> {
-    // NOTE: with a `max_len` cap the closedness test is *relative to the
-    // capped universe*, matching what the capped closed miner produces.
-    closed_filter_brute_force(mine_brute_force(ts, min_sup, max_len))
+pub fn mine_closed_brute_force(ts: &TransactionSet, min_sup: usize) -> Vec<RawPattern> {
+    closed_filter_brute_force(mine_brute_force(ts, min_sup, None))
+}
+
+/// Expands a closed-set listing back into the **full** frequent collection:
+/// every non-empty subset of every closed set, with each subset's support
+/// equal to the *maximum* support among the closed sets containing it (the
+/// defining property of the closed representation).
+///
+/// Exponential in the longest closed set — the differential oracle's check
+/// of the closed miner, for test-scale databases only. Returns canonical
+/// order (length, then lexicographic).
+pub fn expand_frequent(closed: &[RawPattern]) -> Vec<RawPattern> {
+    let mut best: HashMap<Vec<Item>, u32> = HashMap::new();
+    let mut subset = Vec::new();
+    for p in closed {
+        expand_subsets(&p.items, p.support, 0, &mut subset, &mut best);
+    }
+    let mut out: Vec<RawPattern> = best
+        .into_iter()
+        .map(|(items, support)| RawPattern { items, support })
+        .collect();
+    sort_canonical(&mut out);
+    out
+}
+
+fn expand_subsets(
+    items: &[Item],
+    support: u32,
+    start: usize,
+    subset: &mut Vec<Item>,
+    best: &mut HashMap<Vec<Item>, u32>,
+) {
+    for i in start..items.len() {
+        subset.push(items[i]);
+        let entry = best.entry(subset.clone()).or_insert(0);
+        *entry = (*entry).max(support);
+        expand_subsets(items, support, i + 1, subset, best);
+        subset.pop();
+    }
 }
 
 fn is_subset(a: &[Item], b: &[Item]) -> bool {
@@ -122,7 +157,7 @@ mod tests {
         // {0} sup 3 closed; {1} sup 2 NOT closed (subset of {0,1} sup 2);
         // {0,1} sup 2 closed.
         let ts = db(&[&[0, 1], &[0, 1], &[0, 2]]);
-        let got = mine_closed_brute_force(&ts, 2, None);
+        let got = mine_closed_brute_force(&ts, 2);
         let fmt: Vec<Vec<u32>> = got
             .iter()
             .map(|p| p.items.iter().map(|i| i.0).collect())
@@ -134,7 +169,7 @@ mod tests {
     fn closed_count_classic_example() {
         // Every transaction identical → exactly one closed pattern (the full set).
         let ts = db(&[&[0, 1, 2], &[0, 1, 2], &[0, 1, 2]]);
-        let got = mine_closed_brute_force(&ts, 1, None);
+        let got = mine_closed_brute_force(&ts, 1);
         assert_eq!(got.len(), 1);
         assert_eq!(got[0].items.len(), 3);
         assert_eq!(got[0].support, 3);

@@ -67,7 +67,7 @@ pub fn now_ns() -> u64 {
 /// One completed span interval.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SpanRecord {
-    /// Static span name, dot-separated by convention (`"mine.fpgrowth"`).
+    /// Static span name, dot-separated by convention (`"mine.closed"`).
     pub name: &'static str,
     /// Unique id (> 0) within the process.
     pub id: u64,

@@ -11,7 +11,8 @@
 //! `--trace <path>` (or `DFP_TRACE=<path>`) writes the run's span tree as
 //! JSONL — one object per span — for `dfp-trace-check` or chrome://tracing.
 //!
-//! `--miner <closed|fpgrowth|eclat|apriori|nodeset>` validates the name and
+//! `--miner <closed|all>` (`eclat`, `fpgrowth`, `apriori` and `nodeset` are
+//! accepted as aliases of `all`) validates the name and
 //! exports it as `DFP_MINER` for the process, the same selector the training
 //! tools honor. Scoring a fitted artifact never re-mines, so for this binary
 //! the flag is a guard: an invalid name fails fast here instead of silently

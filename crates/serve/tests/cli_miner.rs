@@ -1,6 +1,6 @@
 //! CLI surface tests for `dfpc-score --miner`: valid names are accepted
 //! (and exported as `DFP_MINER`), invalid names fail fast with a message
-//! listing every valid backend.
+//! listing every valid backend and alias.
 
 use std::process::Command;
 
@@ -20,7 +20,7 @@ fn invalid_miner_name_fails_with_the_valid_list() {
         stderr.contains("unknown miner 'quantum'"),
         "stderr names the bad value: {stderr}"
     );
-    for name in ["closed", "fpgrowth", "eclat", "apriori", "nodeset"] {
+    for name in ["closed", "all", "eclat", "fpgrowth", "apriori", "nodeset"] {
         assert!(
             stderr.contains(name),
             "stderr lists valid miner '{name}': {stderr}"
@@ -30,7 +30,8 @@ fn invalid_miner_name_fails_with_the_valid_list() {
 
 #[test]
 fn every_valid_miner_name_is_accepted() {
-    for name in ["closed", "fpgrowth", "eclat", "apriori", "nodeset"] {
+    // `all` plus the retired miners' names, which are its aliases.
+    for name in ["closed", "all", "eclat", "fpgrowth", "apriori", "nodeset"] {
         let out = dfpc_score()
             .args(["--miner", name, "--input", "no-such-rows.csv"])
             .output()

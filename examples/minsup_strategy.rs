@@ -44,7 +44,7 @@ fn main() {
         min_sup_rel: 1.0 / n as f64,
         // All frequent sets (not closed): the guarantee is about every
         // feature candidate the IG filter would see.
-        miner: dfpc::mining::per_class::MinerKind::Eclat,
+        miner: dfpc::mining::per_class::MinerKind::All,
         options: dfpc::mining::MineOptions::default()
             .with_max_len(2)
             .with_max_patterns(5_000_000),

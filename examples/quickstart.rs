@@ -11,8 +11,10 @@
 //! per-stage fit timings, mining recursion, model save/load — as JSONL for
 //! `dfp-trace-check` or chrome://tracing.
 //!
-//! `--miner <closed|fpgrowth|eclat|apriori|nodeset>` (or `DFP_MINER=<name>`)
-//! picks the pattern-mining backend; the flag wins over the environment.
+//! `--miner <closed|all>` (or `DFP_MINER=<name>`) picks closed or
+//! all-frequent pattern mining; the flag wins over the environment. The
+//! retired miners' names (`eclat`, `fpgrowth`, `apriori`, `nodeset`) are
+//! accepted as aliases of `all`.
 
 use dfpc::core::{FrameworkConfig, PatternClassifier};
 use dfpc::data::split::stratified_holdout;

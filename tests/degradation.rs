@@ -7,7 +7,16 @@ use dfpc::core::{FeatureMode, FrameworkConfig, PatternClassifier};
 use dfpc::data::dataset::{categorical_dataset, Dataset};
 use dfpc::data::split::stratified_holdout;
 use dfpc::mining::StopReason;
+use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
+
+/// Every test here fits through the closed miner, and one arms its
+/// process-global `mining.closed` failpoint: the tests take turns so the
+/// armed window never reaches another test's fit.
+fn serial() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 /// Planted two-class data: the pair (a0=1, a1=1) marks class 0 and
 /// (a0=1, a1=2) marks class 1; a2 is noise. Patterns and items both carry
@@ -35,6 +44,7 @@ fn with_pattern_budget(mut cfg: FrameworkConfig, budget: u64) -> FrameworkConfig
 
 #[test]
 fn budget_stopped_fit_stays_within_two_points() {
+    let _serial = serial();
     let data = planted();
     let fold = stratified_holdout(&data.labels, 0.3, 7);
     let (train, test) = (data.subset(&fold.train), data.subset(&fold.test));
@@ -67,6 +77,7 @@ fn budget_stopped_fit_stays_within_two_points() {
 
 #[test]
 fn strict_mode_still_fails_loudly_on_budget() {
+    let _serial = serial();
     let data = planted();
     // Same tight budget, anytime OFF: the legacy contract holds — error,
     // not a silently truncated model.
@@ -76,6 +87,7 @@ fn strict_mode_still_fails_loudly_on_budget() {
 
 #[test]
 fn zero_deadline_degrades_instead_of_failing() {
+    let _serial = serial();
     let data = planted();
     let cfg = FrameworkConfig::pat_all()
         .with_anytime_mining(true)
@@ -93,23 +105,24 @@ fn zero_deadline_degrades_instead_of_failing() {
 }
 
 #[test]
-fn nodeset_fault_degrades_anytime_fit_to_partial() {
+fn mining_fault_degrades_anytime_fit_to_partial() {
+    let _serial = serial();
     let data = planted();
     let cfg = FrameworkConfig::pat_all()
-        .with_miner(dfpc::core::MinerKind::Nodeset)
+        .with_miner(dfpc::core::MinerKind::Closed)
         .with_anytime_mining(true);
 
     // The failpoint site is registered, so the CI fault matrix can arm it.
     assert!(
         dfpc::fault::REGISTRY
             .iter()
-            .any(|(site, _)| *site == "mining.nodeset"),
-        "mining.nodeset missing from the failpoint registry"
+            .any(|(site, _)| *site == "mining.closed"),
+        "mining.closed missing from the failpoint registry"
     );
 
-    dfpc::fault::arm("mining.nodeset", dfpc::fault::Action::Err);
+    dfpc::fault::arm("mining.closed", dfpc::fault::Action::Err);
     let fitted = PatternClassifier::fit(&data, &cfg);
-    dfpc::fault::disarm("mining.nodeset");
+    dfpc::fault::disarm("mining.closed");
 
     // Anytime path: the injected fault yields a *partial* mining result
     // (complete = false, stopped_by = Fault), not a failed fit — items
@@ -122,17 +135,18 @@ fn nodeset_fault_degrades_anytime_fit_to_partial() {
     assert!(fitted.accuracy(&data) > 0.5);
 
     // Strict mode with the same armed site fails loudly instead.
-    dfpc::fault::arm("mining.nodeset", dfpc::fault::Action::Err);
+    dfpc::fault::arm("mining.closed", dfpc::fault::Action::Err);
     let strict = PatternClassifier::fit(
         &data,
-        &FrameworkConfig::pat_all().with_miner(dfpc::core::MinerKind::Nodeset),
+        &FrameworkConfig::pat_all().with_miner(dfpc::core::MinerKind::Closed),
     );
-    dfpc::fault::disarm("mining.nodeset");
+    dfpc::fault::disarm("mining.closed");
     assert!(strict.is_err());
 }
 
 #[test]
 fn degradation_report_is_not_persisted() {
+    let _serial = serial();
     // The report is a fit-time diagnostic: a round-tripped artifact comes
     // back undegraded (the model itself is already truncated-but-valid).
     let data = planted();

@@ -3,10 +3,9 @@
 //! An independent brute-force enumerator — bitmask subset enumeration,
 //! sharing **no code** with `dfpc::mining` (including its own
 //! `reference` module) — computes the exact frequent-itemset collection
-//! for small databases. Every production miner must reproduce it
-//! verbatim: Apriori, Eclat, FP-growth, the PPC-tree nodeset miner, and
-//! the closed-set miner after expanding its output back to the full
-//! frequent collection.
+//! for small databases. Both production miners must reproduce it
+//! verbatim: Eclat directly, and the closed-set miner after expanding its
+//! output back to the full frequent collection.
 //!
 //! The expansion check is the sharp one: a closed pattern's support must
 //! propagate to every subset as the *maximum* over its closed supersets,
@@ -15,9 +14,10 @@
 
 use dfpc::data::schema::ClassId;
 use dfpc::data::transactions::{Item, TransactionSet};
-use dfpc::mining::closed::{expand_frequent, mine_closed};
+use dfpc::mining::closed::mine_closed;
 use dfpc::mining::pattern::{sort_canonical, RawPattern};
-use dfpc::mining::{apriori, eclat, fpgrowth, nodeset, MineOptions};
+use dfpc::mining::reference::expand_frequent;
+use dfpc::mining::{eclat, MineOptions};
 use proptest::prelude::*;
 
 /// Exhaustive oracle: enumerate every non-empty subset of the item
@@ -77,41 +77,14 @@ fn random_db() -> impl Strategy<Value = TransactionSet> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Apriori, Eclat, FP-growth and the nodeset miner each reproduce the
-    /// oracle exactly — same itemsets, same supports, same canonical order.
-    /// (Nodeset runs in both DiffNodeset and plain-nodeset modes via the
-    /// adapter's density-based auto pick plus the explicit entry points.)
+    /// Eclat reproduces the oracle exactly — same itemsets, same supports,
+    /// same canonical order.
     #[test]
     fn every_miner_reproduces_the_oracle(ts in random_db(), min_sup in 1usize..5) {
         let want = oracle_frequent(&ts, min_sup);
-        let opts = MineOptions::default();
-        for (name, mut got) in [
-            ("apriori", apriori::mine(&ts, min_sup, &opts).unwrap()),
-            ("eclat", eclat::mine(&ts, min_sup, &opts).unwrap()),
-            ("fpgrowth", fpgrowth::mine(&ts, min_sup, &opts).unwrap()),
-            ("nodeset", nodeset::mine(&ts, min_sup, &opts).unwrap()),
-        ] {
-            sort_canonical(&mut got);
-            prop_assert_eq!(&got, &want, "{} diverges from the oracle", name);
-        }
-    }
-
-    /// Both explicit nodeset representations — plain FIN-style nodesets
-    /// and dFIN DiffNodesets — match the oracle, independent of the
-    /// density heuristic that normally picks between them.
-    #[test]
-    fn both_nodeset_modes_reproduce_the_oracle(ts in random_db(), min_sup in 1usize..5) {
-        let want = oracle_frequent(&ts, min_sup);
-        for mode in [dfpc::nodeset::Mode::Plain, dfpc::nodeset::Mode::Diff] {
-            let mined = dfpc::nodeset::mine_anytime_in(
-                &ts, min_sup, &dfpc::nodeset::Limits::default(), mode);
-            prop_assert!(mined.complete);
-            let mut got: Vec<RawPattern> = mined.patterns.into_iter()
-                .map(|p| RawPattern { items: p.items, support: p.support })
-                .collect();
-            sort_canonical(&mut got);
-            prop_assert_eq!(&got, &want, "{:?} diverges from the oracle", mode);
-        }
+        let mut got = eclat::mine(&ts, min_sup, &MineOptions::default()).unwrap();
+        sort_canonical(&mut got);
+        prop_assert_eq!(&got, &want, "eclat diverges from the oracle");
     }
 
     /// Expanding the closed-set miner's output reconstructs the complete

@@ -1,12 +1,13 @@
-//! Property tests: the five miners agree with each other and with a
-//! brute-force reference on random transaction databases, and the closed-set
-//! invariants of §3.3 hold.
+//! Property tests: the closed and all-frequent miners agree with a
+//! brute-force reference on random transaction databases, the closed-set
+//! invariants of §3.3 hold, and the closed miner's option contract
+//! (`max_len`, `max_patterns`) is exact.
 
 use dfpc::data::schema::ClassId;
 use dfpc::data::transactions::{contains_sorted, Item, TransactionSet};
 use dfpc::mining::pattern::sort_canonical;
 use dfpc::mining::reference::{mine_brute_force, mine_closed_brute_force};
-use dfpc::mining::{apriori, closed, count, eclat, fpgrowth, nodeset, MineOptions};
+use dfpc::mining::{closed, count, eclat, MineOptions};
 use proptest::prelude::*;
 
 /// Strategy: a random database of up to 12 transactions over up to 8 items.
@@ -32,25 +33,45 @@ proptest! {
     #[test]
     fn all_miners_equal_brute_force(ts in random_db(), min_sup in 1usize..5) {
         let want = mine_brute_force(&ts, min_sup, None);
-        let opts = MineOptions::default();
-        for (name, got) in [
-            ("eclat", eclat::mine(&ts, min_sup, &opts).unwrap()),
-            ("fpgrowth", fpgrowth::mine(&ts, min_sup, &opts).unwrap()),
-            ("apriori", apriori::mine(&ts, min_sup, &opts).unwrap()),
-            ("nodeset", nodeset::mine(&ts, min_sup, &opts).unwrap()),
-        ] {
-            let mut got = got;
-            sort_canonical(&mut got);
-            prop_assert_eq!(&got, &want, "{} disagrees with brute force", name);
-        }
+        let mut got = eclat::mine(&ts, min_sup, &MineOptions::default()).unwrap();
+        sort_canonical(&mut got);
+        prop_assert_eq!(&got, &want, "eclat disagrees with brute force");
     }
 
     #[test]
     fn closed_miner_equals_brute_force(ts in random_db(), min_sup in 1usize..5) {
         let mut got = closed::mine_closed(&ts, min_sup, &MineOptions::default()).unwrap();
         sort_canonical(&mut got);
-        let want = mine_closed_brute_force(&ts, min_sup, None);
+        let want = mine_closed_brute_force(&ts, min_sup);
         prop_assert_eq!(got, want);
+    }
+
+    #[test]
+    fn closed_max_len_equals_length_filtered_oracle(
+        ts in random_db(), min_sup in 1usize..4, max_len in 1usize..5
+    ) {
+        let opts = MineOptions::default().with_max_len(max_len);
+        let mut got = closed::mine_closed(&ts, min_sup, &opts).unwrap();
+        sort_canonical(&mut got);
+        let mut want = mine_closed_brute_force(&ts, min_sup);
+        want.retain(|p| p.items.len() <= max_len);
+        prop_assert_eq!(got, want);
+    }
+
+    #[test]
+    fn budget_stopped_closed_result_is_a_subset_of_the_complete_one(
+        ts in random_db(), min_sup in 1usize..4, budget in 1u64..12
+    ) {
+        let complete = mine_closed_brute_force(&ts, min_sup);
+        let opts = MineOptions::default().with_max_patterns(budget);
+        let mined = closed::mine_closed_anytime(&ts, min_sup, &opts).unwrap();
+        // The budget counts emitted patterns: it stops the run exactly when
+        // the complete result is larger than the budget.
+        prop_assert_eq!(mined.complete, complete.len() as u64 <= budget);
+        prop_assert!(mined.patterns.len() as u64 <= budget);
+        for p in &mined.patterns {
+            prop_assert!(complete.contains(p), "{:?} is not a closed set", p);
+        }
     }
 
     #[test]
@@ -94,9 +115,6 @@ proptest! {
     #[test]
     fn supports_are_exact(ts in random_db(), min_sup in 1usize..4) {
         for p in eclat::mine(&ts, min_sup, &MineOptions::default()).unwrap() {
-            prop_assert_eq!(p.support as usize, ts.support(&p.items));
-        }
-        for p in nodeset::mine(&ts, min_sup, &MineOptions::default()).unwrap() {
             prop_assert_eq!(p.support as usize, ts.support(&p.items));
         }
         for p in closed::mine_closed(&ts, min_sup, &MineOptions::default()).unwrap() {

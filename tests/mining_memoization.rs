@@ -105,13 +105,13 @@ fn backend_switch_on_identical_data_misses_the_cache() {
     use dfpc::core::MinerKind;
 
     let closed_cfg = FrameworkConfig::pat_fs().with_miner(MinerKind::Closed);
-    let nodeset_cfg = FrameworkConfig::pat_fs().with_miner(MinerKind::Nodeset);
+    let all_cfg = FrameworkConfig::pat_fs().with_miner(MinerKind::All);
 
     let _warm = PatternClassifier::fit(&data, &closed_cfg).expect("closed fit");
     let hits_after_closed = cache_mining_hits().get();
     let misses_after_closed = cache_mining_misses().get();
 
-    let _switched = PatternClassifier::fit(&data, &nodeset_cfg).expect("nodeset fit");
+    let _switched = PatternClassifier::fit(&data, &all_cfg).expect("all-frequent fit");
     assert_eq!(
         cache_mining_hits().get(),
         hits_after_closed,
@@ -119,21 +119,21 @@ fn backend_switch_on_identical_data_misses_the_cache() {
     );
     assert!(
         cache_mining_misses().get() > misses_after_closed,
-        "the nodeset fit must mine (and populate its own entry)"
+        "the all-frequent fit must mine (and populate its own entry)"
     );
 
     // Same backend again: now it is a hit, proving the switch above missed
     // because of the miner tag and not some other key component.
-    let misses_after_nodeset = cache_mining_misses().get();
-    let _again = PatternClassifier::fit(&data, &nodeset_cfg).expect("nodeset refit");
+    let misses_after_all = cache_mining_misses().get();
+    let _again = PatternClassifier::fit(&data, &all_cfg).expect("all-frequent refit");
     assert!(
         cache_mining_hits().get() > hits_after_closed,
         "identical backend + data must hit"
     );
     assert_eq!(
         cache_mining_misses().get(),
-        misses_after_nodeset,
-        "the repeat nodeset fit must not re-mine"
+        misses_after_all,
+        "the repeat all-frequent fit must not re-mine"
     );
 }
 

@@ -6,14 +6,14 @@
 //! iteration — must return bit-identical results across all four
 //! dense/compressed operand pairings, on random densities and at the
 //! array↔bitmap container boundary (4096 set bits per 2^16-bit chunk).
-//! On top of the kernels, Eclat must emit byte-identical pattern streams
-//! under `DFP_BITSET=dense`, `compressed`, and `auto`.
+//! On top of the kernels, both miners must emit byte-identical pattern
+//! streams under `DFP_BITSET=dense`, `compressed`, and `auto`.
 
 use dfpc::data::bitset::{scalar, Bitset};
 use dfpc::data::rowset::{set_mode_override, BitsetMode, CompressedBitmap, RowSet, ARRAY_MAX};
 use dfpc::data::schema::ClassId;
 use dfpc::data::transactions::{Item, TransactionSet};
-use dfpc::mining::{eclat, MineOptions};
+use dfpc::mining::{closed, eclat, MineOptions};
 use proptest::prelude::*;
 use std::sync::Mutex;
 
@@ -202,7 +202,25 @@ fn eclat_identical_across_modes() {
     assert_eq!(results[0], results[2], "dense vs auto");
 }
 
-/// Class-support attachment (batched scan) is mode-invariant too.
+/// The closed miner emits the identical closed-set stream under all three
+/// `DFP_BITSET` modes.
+#[test]
+fn closed_identical_across_modes() {
+    let _guard = MODE_LOCK.lock().unwrap();
+    let ts = synthetic_db(4000, 10, 4);
+    let min_sup = ts.len() / 20;
+    let mut results = Vec::new();
+    for mode in [BitsetMode::Dense, BitsetMode::Compressed, BitsetMode::Auto] {
+        set_mode_override(Some(mode));
+        results.push(closed::mine_closed(&ts, min_sup, &MineOptions::default()).unwrap());
+    }
+    set_mode_override(None);
+    assert!(!results[0].is_empty(), "degenerate test: nothing mined");
+    assert_eq!(results[0], results[1], "dense vs compressed");
+    assert_eq!(results[0], results[2], "dense vs auto");
+}
+
+/// Class-support attachment (per-class counts) is mode-invariant too.
 #[test]
 fn class_supports_identical_across_modes() {
     let _guard = MODE_LOCK.lock().unwrap();
