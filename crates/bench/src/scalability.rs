@@ -21,8 +21,6 @@ use std::time::Instant;
 
 /// Enumeration budget for the `min_sup = 1` row.
 const COUNT_BUDGET: u64 = 25_000_000;
-/// MMRFS candidate valve for very low supports.
-const MAX_CANDIDATES: usize = 20_000;
 
 fn mining_cfg(rel: f64) -> MiningConfig {
     MiningConfig {
@@ -32,13 +30,6 @@ fn mining_cfg(rel: f64) -> MiningConfig {
             .with_min_len(2)
             .with_max_patterns(2_000_000),
         per_class: true,
-    }
-}
-
-fn selection_cfg() -> MmrfsConfig {
-    MmrfsConfig {
-        max_candidates: Some(MAX_CANDIDATES),
-        ..MmrfsConfig::default()
     }
 }
 
@@ -57,7 +48,7 @@ fn mine_and_select(ts: &TransactionSet, abs_sup: usize) -> Result<StageRow, Mini
     let candidates = mine_features(ts, &mining_cfg(rel))?;
     let mine_s = t0.elapsed().as_secs_f64();
     let t1 = Instant::now();
-    let selected = mmrfs(ts, &candidates, &selection_cfg());
+    let selected = mmrfs(ts, &candidates, &MmrfsConfig::default());
     Ok(StageRow {
         n_patterns: candidates.len(),
         n_selected: selected.selected.len(),
@@ -76,7 +67,7 @@ fn holdout_accuracy(ts: &TransactionSet, abs_sup: usize) -> Result<(f64, f64, f6
     let test = ts.subset(&fold.test);
     let rel = abs_sup as f64 / ts.len().max(1) as f64;
     let candidates = mine_features(&train, &mining_cfg(rel))?;
-    let result = mmrfs(&train, &candidates, &selection_cfg());
+    let result = mmrfs(&train, &candidates, &MmrfsConfig::default());
     let selected = result.patterns(&candidates);
     let fs = FeatureSpace::new(train.n_items(), train.n_classes(), &selected);
     let train_m = fs.transform(&train);

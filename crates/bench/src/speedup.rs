@@ -74,13 +74,6 @@ fn mining_cfg() -> MiningConfig {
     }
 }
 
-fn selection_cfg() -> MmrfsConfig {
-    MmrfsConfig {
-        max_candidates: Some(5_000),
-        ..MmrfsConfig::default()
-    }
-}
-
 /// One sweep point: stage wall-clocks plus the output fingerprint.
 pub struct SpeedupRun {
     /// Thread count the run was pinned to (`DFP_THREADS`).
@@ -126,7 +119,7 @@ pub fn run_once(ts: &TransactionSet, threads: usize) -> SpeedupRun {
     let mine_s = t0.elapsed().as_secs_f64();
 
     let t1 = Instant::now();
-    let sel = mmrfs(ts, &candidates, &selection_cfg());
+    let sel = mmrfs(ts, &candidates, &MmrfsConfig::default());
     let select_s = t1.elapsed().as_secs_f64();
 
     let t2 = Instant::now();

@@ -10,31 +10,13 @@ use dfp_data::split::stratified_holdout;
 use dfp_data::synth::{profile_by_name, small_uci_profiles, UciProfile};
 use dfp_measures::MinSupStrategy;
 use dfp_mining::{MineOptions, MiningConfig};
-use dfp_select::MmrfsConfig;
-
-/// A tractability valve for the densest profiles: MMRFS only considers this
-/// many top-relevance candidates (the selected set is far smaller anyway).
-const MAX_CANDIDATES: usize = 20_000;
-
-fn mmrfs_cfg() -> MmrfsConfig {
-    MmrfsConfig {
-        max_candidates: Some(MAX_CANDIDATES),
-        ..MmrfsConfig::default()
-    }
-}
 
 /// The Table 1 variant configurations for one dataset profile.
 fn svm_variants(p: &UciProfile) -> Vec<(&'static str, FrameworkConfig)> {
     let min_sup = MinSupStrategy::Relative(p.default_min_sup);
     vec![
         ("Item_All", FrameworkConfig::item_all()),
-        ("Item_FS", {
-            let mut c = FrameworkConfig::item_fs();
-            if let dfp_core::FeatureMode::ItemsSelected(m) = &mut c.features {
-                *m = mmrfs_cfg();
-            }
-            c
-        }),
+        ("Item_FS", FrameworkConfig::item_fs()),
         ("Item_RBF", FrameworkConfig::item_rbf(1.0, 0.1)),
         (
             "Pat_All",
@@ -45,11 +27,7 @@ fn svm_variants(p: &UciProfile) -> Vec<(&'static str, FrameworkConfig)> {
 }
 
 fn pat_fs_cfg(p: &UciProfile) -> FrameworkConfig {
-    let mut c = FrameworkConfig::pat_fs().with_min_sup(MinSupStrategy::Relative(p.default_min_sup));
-    if let dfp_core::FeatureMode::Patterns { selection, .. } = &mut c.features {
-        *selection = dfp_core::SelectionStrategy::Mmrfs(mmrfs_cfg());
-    }
-    c
+    FrameworkConfig::pat_fs().with_min_sup(MinSupStrategy::Relative(p.default_min_sup))
 }
 
 /// The Table 2 variants (C4.5 model; the paper's Table 2 omits Item_RBF).
@@ -145,13 +123,7 @@ pub fn run_harmony_comparison() {
         let test = data.subset(&fold.test);
         let rel = abs_sup as f64 / data.len() as f64;
 
-        let mut cfg = FrameworkConfig::pat_fs().with_min_sup(MinSupStrategy::Relative(rel));
-        if let dfp_core::FeatureMode::Patterns { selection, .. } = &mut cfg.features {
-            *selection = dfp_core::SelectionStrategy::Mmrfs(MmrfsConfig {
-                max_candidates: Some(10_000),
-                ..MmrfsConfig::default()
-            });
-        }
+        let cfg = FrameworkConfig::pat_fs().with_min_sup(MinSupStrategy::Relative(rel));
         let model = PatternClassifier::fit(&train, &cfg).expect("framework fit");
         let f_acc = model.accuracy(&test);
 

@@ -600,22 +600,22 @@ pub mod dfp {
         "Closure-merge candidate checks performed by the closed-set miner"
     );
     counter_fn!(
-        /// Candidate slots scanned across MMRFS argmax rounds.
+        /// Candidates popped from the MMRFS lazy-greedy heap.
         select_candidates_scanned,
         "dfp_select_candidates_scanned_total",
-        "Candidate slots scanned across MMRFS argmax rounds"
+        "Candidates popped from the MMRFS lazy-greedy heap (stale ones are re-scored and pushed back)"
     );
     counter_fn!(
-        /// MMRFS argmax rounds run.
+        /// MMRFS pick decisions: selections plus discards.
         select_argmax_rounds,
         "dfp_select_argmax_rounds_total",
-        "MMRFS argmax rounds (one per considered candidate)"
+        "MMRFS pick decisions (one per candidate selected or discarded)"
     );
     counter_fn!(
-        /// Incremental redundancy-cache cell updates in MMRFS.
+        /// Jaccards MMRFS computed to refresh stale gains.
         select_redundancy_updates,
         "dfp_select_redundancy_updates_total",
-        "Incremental redundancy-cache cell updates performed by MMRFS"
+        "Jaccard overlaps MMRFS computed to refresh stale gains"
     );
     counter_fn!(
         /// Mining-memoization cache hits (a mine call answered from cache).

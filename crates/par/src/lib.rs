@@ -3,14 +3,13 @@
 //! The workspace vendors every dependency and cannot take `rayon`, so this
 //! crate provides the minimal std-only substrate the pipeline's
 //! embarrassingly-parallel stages need: per-class mining, top-level
-//! counting branches, the MMRFS candidate scans, cross-validation folds,
+//! counting branches, the MMRFS tidset precompute, cross-validation folds,
 //! and batch prediction sharding.
 //!
 //! ## Determinism contract
 //!
 //! Every combinator is **order-preserving**: results come back in input
-//! order no matter how the OS schedules the workers, and reductions are
-//! applied in chunk order. Callers that keep their per-item work free of
+//! order no matter how the OS schedules the workers. Callers that keep their per-item work free of
 //! shared mutable state therefore get **bit-identical results for any
 //! worker count** — the property the workspace's parallel-equivalence
 //! tests assert. With one worker (or inputs too small to split) the
@@ -145,8 +144,8 @@ where
 ///
 /// Inputs shorter than `min_chunk` (and nested calls) run sequentially;
 /// larger ones split into at most `4 × workers` chunks scheduled
-/// dynamically. Made for uniform per-element work: MMRFS tidset scans,
-/// batch prediction rows.
+/// dynamically. Made for uniform per-element work: MMRFS tidset
+/// precompute, batch prediction rows.
 pub fn par_chunks_map<T, R, F>(items: &[T], min_chunk: usize, f: F) -> Vec<R>
 where
     T: Sync,
@@ -164,50 +163,6 @@ where
         chunks[ci].iter().map(&f).collect()
     });
     per_chunk.into_iter().flatten().collect()
-}
-
-/// Parallel fold + deterministic reduce over contiguous chunks.
-///
-/// Each chunk folds from `init()` with the element's **global index**;
-/// partial accumulators are then reduced sequentially **in chunk order**.
-/// For the result to be bit-identical to the sequential fold, `fold` and
-/// `reduce` must agree in the usual associativity sense — true for the
-/// argmax-under-a-total-order reductions MMRFS uses.
-pub fn par_map_reduce<T, A, I, Fold, Reduce>(
-    items: &[T],
-    min_chunk: usize,
-    init: I,
-    fold: Fold,
-    reduce: Reduce,
-) -> A
-where
-    T: Sync,
-    A: Send,
-    I: Fn() -> A + Sync,
-    Fold: Fn(A, usize, &T) -> A + Sync,
-    Reduce: Fn(A, A) -> A,
-{
-    let min_chunk = min_chunk.max(1);
-    let workers = effective_workers(items.len().div_ceil(min_chunk));
-    if workers <= 1 {
-        return items
-            .iter()
-            .enumerate()
-            .fold(init(), |acc, (i, t)| fold(acc, i, t));
-    }
-    let chunk = items.len().div_ceil(workers * 4).max(min_chunk);
-    let ranges: Vec<std::ops::Range<usize>> = (0..items.len())
-        .step_by(chunk)
-        .map(|start| start..(start + chunk).min(items.len()))
-        .collect();
-    let partials: Vec<A> = scoped_run(ranges.len(), workers, |ci| {
-        let range = ranges[ci].clone();
-        items[range.clone()]
-            .iter()
-            .zip(range)
-            .fold(init(), |acc, (t, i)| fold(acc, i, t))
-    });
-    partials.into_iter().reduce(reduce).unwrap_or_else(init)
 }
 
 /// Runs heterogeneous-workload tasks (same closure *type*, e.g. built from
@@ -231,36 +186,6 @@ where
             .expect("dfp-par task taken twice");
         task()
     })
-}
-
-/// Parallel in-place pass over contiguous mutable chunks; `f` receives each
-/// chunk and the global index of its first element. Elementwise writes make
-/// this bit-identical for any worker count (MMRFS's redundancy-cache
-/// update pass).
-pub fn par_chunks_mut<T, F>(data: &mut [T], min_chunk: usize, f: F)
-where
-    T: Send,
-    F: Fn(usize, &mut [T]) + Sync,
-{
-    let min_chunk = min_chunk.max(1);
-    let workers = effective_workers(data.len().div_ceil(min_chunk));
-    if workers <= 1 {
-        f(0, data);
-        return;
-    }
-    let chunk = data.len().div_ceil(workers).max(min_chunk);
-    std::thread::scope(|s| {
-        let mut offset = 0usize;
-        for c in data.chunks_mut(chunk) {
-            let len = c.len();
-            let f = &f;
-            s.spawn(move || {
-                IN_PARALLEL.with(|cell| cell.set(true));
-                f(offset, c);
-            });
-            offset += len;
-        }
-    });
 }
 
 #[cfg(test)]
@@ -314,62 +239,10 @@ mod tests {
     }
 
     #[test]
-    fn par_map_reduce_argmax_deterministic() {
-        // keys engineered with ties: reduce must pick the same element the
-        // sequential strict-improvement scan picks.
-        let items: Vec<u64> = (0..5000).map(|i| (i * 7919) % 1000).collect();
-        let seq = items
-            .iter()
-            .enumerate()
-            .fold(None::<(u64, usize)>, |acc, (i, &v)| match acc {
-                Some((bv, bi)) if v <= bv => Some((bv, bi)),
-                _ => Some((v, i)),
-            });
-        for threads in ["1", "4"] {
-            let got = with_threads(threads, || {
-                par_map_reduce(
-                    &items,
-                    8,
-                    || None::<(u64, usize)>,
-                    |acc, i, &v| match acc {
-                        Some((bv, bi)) if v <= bv => Some((bv, bi)),
-                        _ => Some((v, i)),
-                    },
-                    |a, b| match (a, b) {
-                        (Some((av, ai)), Some((bv, bi))) => {
-                            if bv > av {
-                                Some((bv, bi))
-                            } else {
-                                Some((av, ai))
-                            }
-                        }
-                        (x, None) => x,
-                        (None, y) => y,
-                    },
-                )
-            });
-            assert_eq!(got, seq, "threads={threads}");
-        }
-    }
-
-    #[test]
     fn par_join_n_order_and_concurrency() {
         let tasks: Vec<_> = (0..16).map(|i| move || i * i).collect();
         let got = with_threads("4", || par_join_n(tasks));
         assert_eq!(got, (0..16).map(|i| i * i).collect::<Vec<i32>>());
-    }
-
-    #[test]
-    fn par_chunks_mut_covers_every_element_once() {
-        let mut data: Vec<usize> = vec![0; 4097];
-        with_threads("4", || {
-            par_chunks_mut(&mut data, 64, |offset, chunk| {
-                for (d, x) in chunk.iter_mut().enumerate() {
-                    *x += offset + d + 1;
-                }
-            })
-        });
-        assert!(data.iter().enumerate().all(|(i, &x)| x == i + 1));
     }
 
     #[test]
@@ -391,14 +264,8 @@ mod tests {
         let empty: Vec<u32> = Vec::new();
         assert!(par_map(&empty, |&x| x).is_empty());
         assert!(par_chunks_map(&empty, 8, |&x| x).is_empty());
-        assert_eq!(
-            par_map_reduce(&empty, 8, || 42u32, |a, _, &x| a + x, |a, b| a + b),
-            42
-        );
         let tasks: Vec<fn() -> u32> = Vec::new();
         assert!(par_join_n(tasks).is_empty());
-        let mut data: Vec<u32> = Vec::new();
-        par_chunks_mut(&mut data, 8, |_, _| {});
     }
 
     #[test]

@@ -9,7 +9,10 @@
 //!   marginal relevance selection with the Jaccard-weighted redundancy
 //!   (Eq. 9), gain `g(α) = S(α) − max_{β ∈ Fs} R(α, β)` (Eq. 10), and the
 //!   database-coverage stopping rule (each training instance correctly
-//!   covered δ times);
+//!   covered δ times), run as an exact lazy greedy over a max-heap of
+//!   stale gains;
+//! * [`reference`] — the eager full-rescan MMRFS, kept as the test oracle
+//!   the lazy loop is checked against;
 //! * [`baseline`] — top-k-by-relevance and seeded random selection, used by
 //!   the selection-ablation benchmarks;
 //! * [`transform`] — maps the dataset into the extended binary feature space
@@ -21,6 +24,7 @@
 
 pub mod baseline;
 pub mod mmrfs;
+pub mod reference;
 pub mod transform;
 
 pub use mmrfs::{mmrfs, MmrfsConfig, SelectionResult};

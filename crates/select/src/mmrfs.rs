@@ -14,9 +14,31 @@
 //!
 //! "Correctly covers" follows the database-coverage tradition of CMAR: the
 //! instance contains the pattern and the pattern's majority class equals the
-//! instance's label. The per-candidate `max_{γ ∈ Fs} R(β, γ)` is maintained
-//! incrementally — one update pass over the remaining candidates per
-//! selection — so a full run costs `O(|Fs| · |F|)` tidset intersections.
+//! instance's label.
+//!
+//! ## Lazy greedy
+//!
+//! The gain of line 3 can only fall as `Fs` grows, because
+//! `max_{γ ∈ Fs} R(β, γ)` is a max over a growing set. A gain computed
+//! against an older `Fs` is therefore an upper bound on the current one, so
+//! the argmax is found lazily (Minoux 1978; the CELF idea of Leskovec et al.
+//! 2007). Candidates sit in a max-heap keyed by their last computed gain.
+//! A popped candidate is re-scored against only the selections made since
+//! its last scoring and pushed back, until the top of the heap is current.
+//! That top is then the exact argmax: every other key bounds its entry's
+//! current gain from above. A popped candidate that no longer correctly
+//! covers an unsaturated instance is dropped for good, since coverage only
+//! grows and it could never be selected.
+//!
+//! A run computes one Jaccard per (popped candidate, newer selection) pair
+//! rather than one per (remaining candidate, selection), so candidates whose
+//! stale gain never climbs back to the top cost nothing after their first
+//! scoring. Ties follow the total order `(gain; support; Reverse(candidate
+//! index))`, with gains compared by `partial_cmp`, so `-0.0 == 0.0`. `max`
+//! is exact in floating point, so every gain is bit-identical to the one a
+//! full rescan computes, whatever order selections are folded in:
+//! [`crate::reference::mmrfs_eager`], that full-rescan loop kept as a test
+//! oracle, returns the same selection.
 
 use dfp_data::rowset::RowSet;
 use dfp_data::transactions::TransactionSet;
@@ -24,6 +46,8 @@ use dfp_measures::redundancy::redundancy_from_overlap;
 use dfp_measures::RelevanceMeasure;
 use dfp_mining::count::pattern_rowset;
 use dfp_mining::MinedPattern;
+use std::cmp::Ordering;
+use std::collections::BinaryHeap;
 
 /// MMRFS configuration.
 #[derive(Debug, Clone)]
@@ -35,10 +59,6 @@ pub struct MmrfsConfig {
     pub relevance: RelevanceMeasure,
     /// Hard cap on the number of selected features (`None` = coverage-only).
     pub max_features: Option<usize>,
-    /// Keep only the `max_candidates` most relevant patterns before the
-    /// selection loop (`None` = all). A tractability valve for very low
-    /// `min_sup` runs; the paper's experiments do not need it.
-    pub max_candidates: Option<usize>,
 }
 
 impl Default for MmrfsConfig {
@@ -47,7 +67,6 @@ impl Default for MmrfsConfig {
             coverage: 3,
             relevance: RelevanceMeasure::InfoGain,
             max_features: None,
-            max_candidates: None,
         }
     }
 }
@@ -73,6 +92,62 @@ impl SelectionResult {
     }
 }
 
+/// A heap entry: one pool slot, keyed by the gain it last computed.
+///
+/// Ordering looks at the key `(gain; support; Reverse(cand))` only. Each
+/// slot has at most one entry in the heap, so the entry also carries the
+/// slot's redundancy cache.
+#[derive(Debug, Clone, Copy)]
+struct Entry {
+    /// `S(β) − max_red`; never NaN or −∞ (such a candidate is never queued).
+    gain: f64,
+    support: u32,
+    /// Candidate index into the input slice.
+    cand: usize,
+    /// Pool slot (index into the tidset vectors).
+    slot: usize,
+    /// `max_{γ ∈ Fs} R(β, γ)` over the first `seen` selections.
+    max_red: f64,
+    seen: usize,
+}
+
+impl Ord for Entry {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.gain
+            .partial_cmp(&other.gain)
+            .expect("NaN gains are never queued")
+            .then(self.support.cmp(&other.support))
+            .then(other.cand.cmp(&self.cand))
+    }
+}
+
+impl PartialOrd for Entry {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for Entry {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for Entry {}
+
+/// Work done by one selection run.
+#[derive(Debug, Default, Clone, Copy)]
+struct Tally {
+    /// Candidates with nonzero support (the pool `F`).
+    pool: usize,
+    /// Heap pops.
+    pops: u64,
+    /// Pick decisions: selections plus discards.
+    decisions: u64,
+    /// Jaccards computed to refresh stale gains.
+    jaccards: u64,
+}
+
 /// Runs MMRFS over candidate patterns mined from `ts`.
 ///
 /// The result's `selected` indices refer to `candidates`. Candidates with
@@ -83,25 +158,29 @@ pub fn mmrfs(
     cfg: &MmrfsConfig,
 ) -> SelectionResult {
     let mut sp = dfp_obs::span("select.mmrfs");
+    let (result, tally) = mmrfs_tallied(ts, candidates, cfg);
+    dfp_obs::metrics::dfp::select_argmax_rounds().add(tally.decisions);
+    dfp_obs::metrics::dfp::select_candidates_scanned().add(tally.pops);
+    dfp_obs::metrics::dfp::select_redundancy_updates().add(tally.jaccards);
+    sp.attr("candidates", tally.pool);
+    sp.attr("selected", result.selected.len());
+    sp.attr("rounds", tally.decisions);
+    result
+}
+
+/// [`mmrfs`] without the telemetry: the selection plus its work tally.
+fn mmrfs_tallied(
+    ts: &TransactionSet,
+    candidates: &[MinedPattern],
+    cfg: &MmrfsConfig,
+) -> (SelectionResult, Tally) {
     let n = ts.len();
     let class_counts = ts.class_counts();
     let relevance = cfg.relevance.score_all(candidates, &class_counts);
 
-    // Candidate pool, optionally pruned to the most relevant K.
-    let mut pool: Vec<usize> = (0..candidates.len())
+    let pool: Vec<usize> = (0..candidates.len())
         .filter(|&i| candidates[i].support > 0)
         .collect();
-    if let Some(k) = cfg.max_candidates {
-        if pool.len() > k {
-            pool.sort_by(|&a, &b| {
-                relevance[b]
-                    .partial_cmp(&relevance[a])
-                    .unwrap_or(std::cmp::Ordering::Equal)
-                    .then_with(|| a.cmp(&b))
-            });
-            pool.truncate(k);
-        }
-    }
 
     // Tidsets and correct-cover tidsets (dense or compressed row sets,
     // following the active `DFP_BITSET` mode).
@@ -115,111 +194,79 @@ pub fn mmrfs(
         tids[j].and(&class_masks[candidates[pool[j]].majority_class().index()])
     });
 
-    let mut max_red = vec![0.0f64; pool.len()]; // max_{γ∈Fs} R(·, γ) so far
-    let mut alive = vec![true; pool.len()];
+    // A NaN or −∞ gain can never win the argmax, and gains only fall, so
+    // such a candidate is never queued (or re-queued).
+    let queueable = |e: &Entry| e.gain > f64::NEG_INFINITY;
+    let mut heap: BinaryHeap<Entry> = pool
+        .iter()
+        .enumerate()
+        .map(|(slot, &cand)| Entry {
+            gain: relevance[cand], // Fs = ∅, so no redundancy yet
+            support: candidates[cand].support,
+            cand,
+            slot,
+            max_red: 0.0,
+            seen: 0,
+        })
+        .filter(queueable)
+        .collect();
+
     let mut coverage = vec![0u32; n];
     let mut uncovered = n; // instances with coverage < δ
-    let mut selected = Vec::new();
-
-    // A challenger replaces the incumbent iff strictly greater under the
-    // total order (gain; support; Reverse(candidate index)) — the same rule
-    // the sequential scan applies, so chunked fold + in-order reduce picks
-    // the identical maximum (distinct indices make the order total, and a
-    // NaN/−∞ gain never wins any comparison, hence is never admitted).
-    let challenge = |best: Option<(usize, f64)>, j: usize, gain: f64| -> Option<(usize, f64)> {
-        let wins = match best {
-            None => gain > f64::NEG_INFINITY,
-            Some((b, best_gain)) => {
-                gain > best_gain
-                    || (gain == best_gain
-                        && (candidates[pool[j]].support, std::cmp::Reverse(pool[j]))
-                            > (candidates[pool[b]].support, std::cmp::Reverse(pool[b])))
-            }
-        };
-        if wins {
-            Some((j, gain))
-        } else {
-            best
-        }
+    let mut chosen: Vec<Entry> = Vec::new(); // Fs, in selection order
+    let mut tally = Tally {
+        pool: pool.len(),
+        ..Tally::default()
     };
 
-    // Selection-loop tallies, flushed to the global counters once at the end
-    // (plain u64 bumps keep the loop free of atomic traffic).
-    let mut argmax_rounds = 0u64;
-    let mut cand_scanned = 0u64;
-    let mut red_updates = 0u64;
-
-    while uncovered > 0 && selected.len() < cfg.max_features.unwrap_or(usize::MAX) {
-        argmax_rounds += 1;
-        cand_scanned += pool.len() as u64;
-        // argmax gain over the remaining pool (deterministic tie-break),
-        // chunked across workers.
-        let best = dfp_par::par_map_reduce(
-            &pool,
-            256,
-            || None,
-            |acc: Option<(usize, f64)>, j, &cand| {
-                if !alive[j] {
-                    return acc;
-                }
-                challenge(acc, j, relevance[cand] - max_red[j])
-            },
-            |left, right| match right {
-                Some((j, gain)) => challenge(left, j, gain),
-                None => left,
-            },
-        );
-        let Some((j, _)) = best else { break }; // F = ∅
-        alive[j] = false;
+    while uncovered > 0 && chosen.len() < cfg.max_features.unwrap_or(usize::MAX) {
+        let Some(mut top) = heap.pop() else { break }; // F = ∅
+        tally.pops += 1;
+        let j = top.slot;
 
         // Does β correctly cover at least one not-yet-saturated instance?
-        let covers_new = correct[j].iter_ones().any(|t| coverage[t] < cfg.coverage);
-        if !covers_new {
+        if !correct[j].iter_ones().any(|t| coverage[t] < cfg.coverage) {
+            tally.decisions += 1;
             continue; // discarded from F without selection (Algorithm 1, line 7)
         }
 
-        // Select β: update coverage and the incremental redundancy caches.
+        if top.seen < chosen.len() {
+            // Stale: fold in the selections made since it was last scored.
+            let rel = relevance[top.cand];
+            for sel in &chosen[top.seen..] {
+                let jac = tids[sel.slot].jaccard(&tids[j]);
+                let r = redundancy_from_overlap(jac, rel, relevance[sel.cand]);
+                if r > top.max_red {
+                    top.max_red = r;
+                }
+            }
+            tally.jaccards += (chosen.len() - top.seen) as u64;
+            top.seen = chosen.len();
+            top.gain = rel - top.max_red;
+            if queueable(&top) {
+                heap.push(top);
+            }
+            continue;
+        }
+
+        // Fresh, hence the argmax: select β and update coverage.
+        tally.decisions += 1;
         for t in correct[j].iter_ones() {
             coverage[t] += 1;
             if coverage[t] == cfg.coverage {
                 uncovered -= 1;
             }
         }
-        // Redundancy-cache update: each slot only reads shared state and
-        // writes its own cell, so sharding `max_red` across workers leaves
-        // every cell's value — and thus later rounds — unchanged.
-        red_updates += alive.iter().filter(|&&a| a).count() as u64;
-        let sel_rel = relevance[pool[j]];
-        let sel_tids = &tids[j];
-        dfp_par::par_chunks_mut(&mut max_red, 256, |offset, cells| {
-            for (d, cell) in cells.iter_mut().enumerate() {
-                let k = offset + d;
-                if !alive[k] {
-                    continue;
-                }
-                let jac = sel_tids.jaccard(&tids[k]);
-                let r = redundancy_from_overlap(jac, relevance[pool[k]], sel_rel);
-                if r > *cell {
-                    *cell = r;
-                }
-            }
-        });
-        selected.push(pool[j]);
+        chosen.push(top);
     }
-
-    dfp_obs::metrics::dfp::select_argmax_rounds().add(argmax_rounds);
-    dfp_obs::metrics::dfp::select_candidates_scanned().add(cand_scanned);
-    dfp_obs::metrics::dfp::select_redundancy_updates().add(red_updates);
-    sp.attr("candidates", pool.len());
-    sp.attr("selected", selected.len());
-    sp.attr("rounds", argmax_rounds);
 
     let fully_covered = coverage.iter().filter(|&&c| c >= cfg.coverage).count();
-    SelectionResult {
-        selected,
+    let result = SelectionResult {
+        selected: chosen.iter().map(|e| e.cand).collect(),
         relevance,
         fully_covered,
-    }
+    };
+    (result, tally)
 }
 
 #[cfg(test)]
@@ -349,16 +396,100 @@ mod tests {
         assert_eq!(mmrfs(&ts, &cands, &cfg).selected.len(), 1);
     }
 
+    fn entry(gain: f64, support: u32, cand: usize) -> Entry {
+        Entry {
+            gain,
+            support,
+            cand,
+            slot: cand,
+            max_red: 0.0,
+            seen: 0,
+        }
+    }
+
     #[test]
-    fn max_candidates_prunes_pool() {
-        let ts = marker_db();
+    fn signed_zero_gains_tie() {
+        // The eager scan's `>`/`==` treat -0.0 and 0.0 as equal, so the tie
+        // falls through to support. `total_cmp` would rank -0.0 lower and
+        // pick the 0.0 candidate instead.
+        let neg = entry(-0.0, 5, 1);
+        let pos = entry(0.0, 3, 0);
+        assert!(neg > pos);
+        let mut heap: BinaryHeap<Entry> = [pos, neg].into_iter().collect();
+        assert_eq!(heap.pop().map(|e| e.cand), Some(1));
+        // Equal gain and support: the lower candidate index wins.
+        assert!(entry(-0.0, 3, 0) > entry(0.0, 3, 1));
+    }
+
+    #[test]
+    fn infinite_gains_order() {
+        // A perfect separator's +∞ relevance beats any finite gain, and two
+        // of them tie on gain and break by support, then index.
+        assert!(entry(f64::INFINITY, 1, 9) > entry(f64::MAX, 100, 0));
+        assert!(entry(f64::INFINITY, 4, 9) > entry(f64::INFINITY, 3, 0));
+        assert!(entry(f64::INFINITY, 3, 0) > entry(f64::INFINITY, 3, 9));
+    }
+
+    /// 60 pseudo-random rows over 8 items; item 0 leans to class 0 and
+    /// item 1 to class 1, so selection runs several rounds.
+    fn noisy_db() -> TransactionSet {
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let rows: Vec<(Vec<u32>, u32)> = (0..60)
+            .map(|r| {
+                let label = (r % 2) as u32;
+                let mut items: Vec<u32> = (2..8)
+                    .filter(|_| {
+                        state ^= state << 13;
+                        state ^= state >> 7;
+                        state ^= state << 17;
+                        state & 3 == 0
+                    })
+                    .collect();
+                if r % 5 != 0 {
+                    items.push(label);
+                }
+                (items, label)
+            })
+            .collect();
+        let refs: Vec<(&[u32], u32)> = rows.iter().map(|(r, l)| (r.as_slice(), *l)).collect();
+        db(&refs)
+    }
+
+    #[test]
+    fn lazy_refresh_computes_fewer_jaccards_than_a_full_sweep() {
+        let ts = noisy_db();
+        let cands = mine_features(
+            &ts,
+            &MiningConfig {
+                miner: dfp_mining::MinerKind::All,
+                ..MiningConfig::with_min_sup(0.05)
+            },
+        )
+        .unwrap();
+        let (res, tally) = mmrfs_tallied(&ts, &cands, &MmrfsConfig::default());
+        assert!(res.selected.len() >= 2, "{res:?}");
+        // A full sweep updates every remaining candidate per selection,
+        // about |F|·|Fs| Jaccards in all.
+        let sweep = (tally.pool * res.selected.len()) as u64;
+        assert!(tally.jaccards < sweep, "{tally:?} vs {sweep}");
+        assert!(tally.decisions >= res.selected.len() as u64);
+        assert!(tally.pops >= tally.decisions);
+    }
+
+    #[test]
+    fn matches_eager_reference() {
+        let ts = noisy_db();
         let cands = mined(&ts);
-        let cfg = MmrfsConfig {
-            max_candidates: Some(2),
-            ..MmrfsConfig::default()
-        };
-        let res = mmrfs(&ts, &cands, &cfg);
-        assert!(res.selected.len() <= 2);
+        for coverage in 1..=4 {
+            let cfg = MmrfsConfig {
+                coverage,
+                ..MmrfsConfig::default()
+            };
+            let lazy = mmrfs(&ts, &cands, &cfg);
+            let eager = crate::reference::mmrfs_eager(&ts, &cands, &cfg);
+            assert_eq!(lazy.selected, eager.selected, "δ={coverage}");
+            assert_eq!(lazy.fully_covered, eager.fully_covered, "δ={coverage}");
+        }
     }
 
     #[test]
