@@ -280,9 +280,9 @@ mod tests {
             let mut c = a.clone();
             andnot_in_place(&mut c, &b);
             assert_eq!(count(&c), naive_diff);
-            assert_eq!(is_subset(&c, &a), true);
+            assert!(is_subset(&c, &a));
             if naive_diff > 0 {
-                assert_eq!(is_subset(&a, &b), false);
+                assert!(!is_subset(&a, &b));
             }
         }
     }

@@ -243,7 +243,6 @@ mod tests {
     use crate::metrics::Registry;
     use crate::slo::SloSpec;
     use crate::tsdb::TsdbConfig;
-    use std::time::Duration;
 
     #[test]
     fn dashboard_renders_svg_and_sections() {
