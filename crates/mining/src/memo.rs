@@ -23,9 +23,23 @@
 //!   ([`dfp_fault::any_armed`]): a hit would silently skip armed mining
 //!   failpoints, masking the faults chaos tests inject.
 //!
-//! The cache is process-global and bounded (FIFO eviction). `DFP_CACHE=0`
-//! (or `off`/`false`) disables it; [`set_enabled`] overrides the environment
-//! programmatically (tests).
+//! ## Bound
+//!
+//! The cache is process-global and bounded by retained size, not entry
+//! count: each entry is charged Σ over its patterns of
+//! `size_of::<RawPattern>()` plus its items (4 bytes each), and the total
+//! stays within a fixed budget of 4 MiB, evicting the oldest entries first
+//! (FIFO). An entry larger than the whole budget is not stored. A process
+//! that fits fresh data over and over (every fit a miss) therefore holds at
+//! most 4 MiB of patterns, however many fits it runs (a 4000-row waveform
+//! fit mines 3 partitions retaining about 0.7 MB together, so the budget
+//! holds the last five or so such fits). The repeats the cache exists for
+//! fit well inside it: a second fit on the same data, and a repeated
+//! 10-fold cross-validation pass on austral, whose 20 fold × class entries
+//! retain about 0.8 MB.
+//!
+//! `DFP_CACHE=0` (or `off`/`false`) disables the cache; [`set_enabled`]
+//! overrides the environment programmatically (tests).
 
 use crate::anytime::Mined;
 use crate::per_class::MinerKind;
@@ -40,10 +54,9 @@ use std::sync::{Arc, Mutex, OnceLock};
 /// fingerprint is comparable to one it would compute itself.
 pub const FINGERPRINT_VERSION: u16 = 1;
 
-/// Most entries kept before FIFO eviction. Pattern sets are shared `Arc`s,
-/// so the bound is on entry count, not bytes; 64 covers every CV fold ×
-/// class partition combination real configurations produce.
-const CACHE_CAP: usize = 64;
+/// Retained-size budget in bytes, as charged by [`retained_bytes`]; FIFO
+/// eviction keeps the cache's total at or below it (see the module docs).
+const CACHE_BUDGET_BYTES: usize = 4 << 20;
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -105,9 +118,43 @@ fn miner_tag(kind: MinerKind) -> u8 {
     }
 }
 
+/// The size an entry is charged against [`CACHE_BUDGET_BYTES`]: each
+/// pattern's struct plus its items.
+fn retained_bytes(patterns: &[RawPattern]) -> usize {
+    patterns
+        .iter()
+        .map(|p| std::mem::size_of::<RawPattern>() + std::mem::size_of_val(p.items.as_slice()))
+        .sum()
+}
+
 struct Store {
     map: HashMap<Key, Arc<Vec<RawPattern>>>,
-    order: VecDeque<Key>,
+    /// Insertion order with each entry's retained size, oldest first.
+    order: VecDeque<(Key, usize)>,
+    /// Σ of the sizes in `order`; never above [`CACHE_BUDGET_BYTES`].
+    bytes: usize,
+}
+
+impl Store {
+    /// Stores `patterns` under `key`, first evicting the oldest entries
+    /// until it fits the budget. A set larger than the whole budget is not
+    /// stored.
+    fn insert(&mut self, key: Key, patterns: &[RawPattern]) {
+        let size = retained_bytes(patterns);
+        if size > CACHE_BUDGET_BYTES || self.map.contains_key(&key) {
+            return;
+        }
+        while self.bytes + size > CACHE_BUDGET_BYTES {
+            let Some((old, old_size)) = self.order.pop_front() else {
+                break;
+            };
+            self.map.remove(&old);
+            self.bytes -= old_size;
+        }
+        self.map.insert(key.clone(), Arc::new(patterns.to_vec()));
+        self.order.push_back((key, size));
+        self.bytes += size;
+    }
 }
 
 fn store() -> &'static Mutex<Store> {
@@ -116,6 +163,7 @@ fn store() -> &'static Mutex<Store> {
         Mutex::new(Store {
             map: HashMap::new(),
             order: VecDeque::new(),
+            bytes: 0,
         })
     })
 }
@@ -172,6 +220,7 @@ pub fn clear() {
     let mut s = store().lock().unwrap_or_else(|e| e.into_inner());
     s.map.clear();
     s.order.clear();
+    s.bytes = 0;
 }
 
 /// Memoizes one anytime mine call: on a hit returns the cached complete
@@ -211,15 +260,7 @@ pub fn mine_cached(
     let mined = run()?;
     if mined.complete {
         let mut s = store().lock().unwrap_or_else(|e| e.into_inner());
-        if !s.map.contains_key(&key) {
-            while s.order.len() >= CACHE_CAP {
-                if let Some(old) = s.order.pop_front() {
-                    s.map.remove(&old);
-                }
-            }
-            s.map.insert(key.clone(), Arc::new(mined.patterns.clone()));
-            s.order.push_back(key);
-        }
+        s.insert(key, &mined.patterns);
     }
     Ok(mined)
 }
@@ -364,21 +405,48 @@ mod tests {
     }
 
     #[test]
-    fn eviction_keeps_the_cache_bounded() {
-        let _g = lock();
-        set_enabled(Some(true));
-        clear();
-        let ts = db(&[(&[0, 1], 0)]);
-        let opts = MineOptions::default();
-        for sup in 1..=(CACHE_CAP + 8) {
-            let _ = mine_cached(MinerKind::All, &ts, sup, &opts, || {
-                crate::eclat::mine_anytime(&ts, 1, &opts)
-            });
+    fn eviction_keeps_the_retained_size_within_budget() {
+        let key = |min_sup| Key {
+            fingerprint: 0,
+            n_transactions: 0,
+            n_items: 0,
+            miner: 0,
+            min_sup,
+            min_len: 1,
+            max_len: None,
+            max_patterns: None,
+        };
+        // Three-item patterns, so one entry of `per_entry` patterns is
+        // charged a little over a third of the budget.
+        let pattern = RawPattern {
+            items: vec![Item(0), Item(1), Item(2)],
+            support: 1,
+        };
+        let per_entry = CACHE_BUDGET_BYTES / 3 / retained_bytes(std::slice::from_ref(&pattern)) + 1;
+        let set = vec![pattern.clone(); per_entry];
+        let size = retained_bytes(&set);
+        assert!(3 * size > CACHE_BUDGET_BYTES && 2 * size <= CACHE_BUDGET_BYTES);
+
+        let mut s = Store {
+            map: HashMap::new(),
+            order: VecDeque::new(),
+            bytes: 0,
+        };
+        for sup in 0..10 {
+            s.insert(key(sup), &set);
+            assert!(s.bytes <= CACHE_BUDGET_BYTES);
+            assert_eq!(s.bytes, s.order.iter().map(|(_, b)| b).sum::<usize>());
+            assert_eq!(s.map.len(), s.order.len());
         }
-        let s = store().lock().unwrap();
-        assert!(s.map.len() <= CACHE_CAP);
-        assert_eq!(s.map.len(), s.order.len());
-        drop(s);
-        set_enabled(None);
+        // FIFO: only the two newest entries fit.
+        let kept: Vec<usize> = s.order.iter().map(|(k, _)| k.min_sup).collect();
+        assert_eq!(kept, vec![8, 9]);
+
+        // A set larger than the whole budget is not stored and evicts nothing.
+        let huge = vec![pattern; 3 * per_entry];
+        s.insert(key(10), &huge);
+        assert!(!s.map.contains_key(&key(10)));
+        assert_eq!(s.map.len(), 2);
+        assert!(s.bytes <= CACHE_BUDGET_BYTES);
     }
 }
