@@ -3,10 +3,10 @@
 //! Fits the full framework pipeline (discretize → itemize → mine → select →
 //! transform → train) on a dense synthetic profile, scores the training set,
 //! and reads each stage's wall-clock out of the process-wide
-//! `dfp_pipeline_stage_seconds` histograms, plus the miner and MMRFS work
-//! counters. The fit runs once at `DFP_THREADS=1` and once at the host's
-//! core count, so a stage that parallelism slows down shows up side by
-//! side. The breakdown lands in `BENCH_pipeline.json` at the repo root,
+//! `dfp_pipeline_stage_seconds` histograms, plus the miner, MMRFS and
+//! linear-SVM work counters. The fit runs once at `DFP_THREADS=1` and once
+//! at the host's core count, so a stage that parallelism slows down shows up
+//! side by side. The breakdown lands in `BENCH_pipeline.json` at the repo root,
 //! under the shared bench header, so the bench trajectory accumulates
 //! comparable timings across commits.
 //!
@@ -20,7 +20,7 @@ use dfp_obs::metrics::dfp as counters;
 use std::time::Instant;
 
 /// Work counters read around each run: `(name in the report, reading)`.
-fn work_counters() -> [(&'static str, u64); 5] {
+fn work_counters() -> [(&'static str, u64); 7] {
     [
         ("patterns_emitted", counters::mine_patterns_emitted().get()),
         ("mine_nodes", counters::mine_nodes_explored().get()),
@@ -36,6 +36,8 @@ fn work_counters() -> [(&'static str, u64); 5] {
             "select_redundancy_updates",
             counters::select_redundancy_updates().get(),
         ),
+        ("svm_epochs", counters::svm_epochs().get()),
+        ("svm_epoch_cap_hits", counters::svm_epoch_cap_hits().get()),
     ]
 }
 

@@ -5,8 +5,12 @@
 
 mod kernel;
 mod linear;
+pub mod reference;
 mod smo;
 
 pub use kernel::Kernel;
-pub use linear::{dual_objective, LinearSvm, LinearSvmParams};
+pub use linear::{
+    dual_objective, projected_gradient_gap, solve_binary, BinarySolution, LinearSvm,
+    LinearSvmParams,
+};
 pub use smo::{BinaryModel, KernelSvm, KernelSvmParams};

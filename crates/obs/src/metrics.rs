@@ -618,6 +618,20 @@ pub mod dfp {
         "Jaccard overlaps MMRFS computed to refresh stale gains"
     );
     counter_fn!(
+        /// Linear-SVM epochs (passes over the active set), summed over every
+        /// binary problem solved.
+        svm_epochs,
+        "dfp_svm_epochs_total",
+        "Linear-SVM dual coordinate descent epochs, summed over binary problems"
+    );
+    counter_fn!(
+        /// Linear-SVM binary problems that hit `max_epochs` before meeting
+        /// their stopping rule.
+        svm_epoch_cap_hits,
+        "dfp_svm_epoch_cap_hits_total",
+        "Linear-SVM binary problems stopped by the max_epochs cap before converging"
+    );
+    counter_fn!(
         /// Mining-memoization cache hits (a mine call answered from cache).
         cache_mining_hits,
         "dfp_cache_mining_hits_total",
@@ -699,6 +713,8 @@ pub mod dfp {
         select_candidates_scanned();
         select_argmax_rounds();
         select_redundancy_updates();
+        svm_epochs();
+        svm_epoch_cap_hits();
         cache_mining_hits();
         cache_mining_misses();
         pipeline_fits();
